@@ -604,13 +604,7 @@ pub fn t10_robustness_matrix(opts: &ExpOptions) -> Result<String, String> {
             meta.push(("scheme-b", kind, anonymous));
         }
     }
-    let sweep = grid.dispatch_supervised(opts, "t10");
-    if sweep.interrupted {
-        return Err(format!(
-            "t10 interrupted mid-sweep; resume from the journal to finish ({})",
-            sweep.summary()
-        ));
-    }
+    let sweep = grid.dispatch(opts, "t10")?;
     let reports = sweep.reports();
     emit_json(opts, "t10", grid.to_json(&reports))?;
 
@@ -1435,13 +1429,7 @@ pub fn t20_fault_robustness(opts: &ExpOptions) -> Result<String, String> {
     // so one instance serves every cell.
     let corruption = CellGrid::from_spec(&t20_corruption_spec())?;
     let n = corruption.requests()[0].instance.graph.num_nodes() as u64;
-    let corruption_sweep = corruption.dispatch_supervised(opts, "t20-corruption");
-    if corruption_sweep.interrupted {
-        return Err(format!(
-            "t20 corruption sweep interrupted; resume from the journal to finish ({})",
-            corruption_sweep.summary()
-        ));
-    }
+    let corruption_sweep = corruption.dispatch(opts, "t20-corruption")?;
     let corruption_reports = corruption_sweep.reports();
 
     let mut table = Table::new([
@@ -1501,13 +1489,7 @@ pub fn t20_fault_robustness(opts: &ExpOptions) -> Result<String, String> {
     // fault-free cost; each retry multiplies the per-edge survival
     // probability.
     let drop_grid = CellGrid::from_spec(&t20_drops_spec())?;
-    let drop_sweep = drop_grid.dispatch_supervised(opts, "t20-drops");
-    if drop_sweep.interrupted {
-        return Err(format!(
-            "t20 drop sweep interrupted; resume from the journal to finish ({})",
-            drop_sweep.summary()
-        ));
-    }
+    let drop_sweep = drop_grid.dispatch(opts, "t20-drops")?;
     let drop_reports = drop_sweep.reports();
 
     let mut drops = Table::new([
@@ -1562,13 +1544,7 @@ pub fn t20_fault_robustness(opts: &ExpOptions) -> Result<String, String> {
         .map(|c| c.faults.crashes.len())
         .collect();
     let crash_grid = CellGrid::from_spec(&crash_spec)?;
-    let crash_sweep = crash_grid.dispatch_supervised(opts, "t20-crashes");
-    if crash_sweep.interrupted {
-        return Err(format!(
-            "t20 crash sweep interrupted; resume from the journal to finish ({})",
-            crash_sweep.summary()
-        ));
-    }
+    let crash_sweep = crash_grid.dispatch(opts, "t20-crashes")?;
     let crash_reports = crash_sweep.reports();
 
     let mut crashes = Table::new(["crashes", "completed", "informed survivors", "messages"]);
@@ -1823,13 +1799,7 @@ pub fn scale_curve(opts: &ExpOptions) -> Result<String, String> {
         meta.push(("tree-wakeup", b, nodes));
         meta.push(("flood", b, nodes));
     }
-    let sweep = grid.dispatch_supervised(opts, "scale");
-    if sweep.interrupted {
-        return Err(format!(
-            "scale interrupted mid-sweep; resume from the journal to finish ({})",
-            sweep.summary()
-        ));
-    }
+    let sweep = grid.dispatch(opts, "scale")?;
     let reports = sweep.reports();
     emit_json(opts, "scale", grid.to_json(&reports))?;
 

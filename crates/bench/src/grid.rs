@@ -2,7 +2,7 @@
 //!
 //! An experiment here is a *grid of cells*: each cell names one
 //! `(instance, scheme, config)` combination, and the whole grid is handed
-//! to [`oraclesize_runtime::run_batch`] in one call. The pool executes
+//! to [`oraclesize_runtime::run_supervised_batch`] in one call. The pool executes
 //! cells on `--threads` workers while the grid keeps cell order — reports,
 //! tables, and the emitted `BENCH_T*.json` artifacts are byte-identical at
 //! any thread count (the runtime's determinism contract).
@@ -66,50 +66,6 @@ pub struct ExpOptions {
 }
 
 impl ExpOptions {
-    /// Serial options with a size flag — what the pre-pool harness took.
-    pub fn sized(large: bool) -> Self {
-        ExpOptions {
-            large,
-            ..Default::default()
-        }
-    }
-
-    /// The pool these options describe.
-    pub fn pool(&self) -> Pool {
-        Pool::new(self.threads.max(1))
-    }
-
-    /// The supervised-sweep options these options describe, with the
-    /// journal (when a `journal_dir` is set) at `<dir>/<tag>.journal`.
-    pub fn sweep_options(&self, tag: &str) -> SweepOptions {
-        SweepOptions {
-            supervise: SuperviseConfig {
-                max_retries: self.max_retries,
-                cell_timeout: self.cell_timeout,
-                ..SuperviseConfig::default()
-            },
-            journal: self
-                .journal_dir
-                .as_ref()
-                .map(|dir| dir.join(format!("{tag}.journal"))),
-            resume: self.resume,
-            seeds: None,
-            chaos: self.chaos.clone(),
-            chunk: self.chunk,
-            // Cost hints belong to the grid being dispatched; the grid
-            // fills them in at dispatch time.
-            costs: None,
-        }
-    }
-
-    /// Folds one dispatch's scheduling telemetry into the shared tally.
-    pub fn record_stats(&self, stats: &SchedStats) {
-        self.stats
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .merge(stats);
-    }
-
     /// A snapshot of the scheduling telemetry accumulated so far.
     pub fn sched_stats(&self) -> SchedStats {
         self.stats
@@ -131,27 +87,8 @@ pub struct CellGrid {
 }
 
 impl CellGrid {
-    /// An empty grid.
-    #[deprecated(
-        since = "0.1.0",
-        note = "describe the sweep as a SweepSpec and build the grid with CellGrid::from_spec"
-    )]
-    pub fn new() -> Self {
-        CellGrid::default()
-    }
-
-    /// Appends one cell. The label is for the JSON artifact only; tables
-    /// derive their columns from the same iteration that built the grid.
-    /// The cell's scheduling cost hint comes from the request's instance
-    /// size ([`RunRequest::cost_hint`]).
-    #[deprecated(
-        since = "0.1.0",
-        note = "declare cells in a SweepSpec and build the grid with CellGrid::from_spec"
-    )]
-    pub fn cell(&mut self, label: impl Into<String>, request: RunRequest) {
-        self.add_cell(label.into(), request);
-    }
-
+    /// Appends one cell; its scheduling cost hint comes from the
+    /// request's instance size ([`RunRequest::cost_hint`]).
     fn add_cell(&mut self, label: String, request: RunRequest) {
         self.labels.push(label);
         self.costs.push(request.cost_hint());
@@ -227,11 +164,6 @@ impl CellGrid {
         &self.costs
     }
 
-    /// The cell labels, in cell order.
-    pub fn labels(&self) -> &[String] {
-        &self.labels
-    }
-
     /// The cell requests, in cell order.
     pub fn requests(&self) -> &[RunRequest] {
         &self.requests
@@ -247,32 +179,45 @@ impl CellGrid {
         self.requests.is_empty()
     }
 
-    /// Dispatches every cell across the options' pool, returning reports
-    /// in cell order.
+    /// Dispatches every cell across the options' pool under the full
+    /// failure model, reports in cell order: with a `journal_dir`, cells
+    /// already checkpointed in `<journal_dir>/<tag>.journal` are skipped
+    /// on resume, and every newly completed cell is checkpointed when the
+    /// journal's in-order cursor reaches it.
     ///
-    /// Execution goes through the supervised path (panic isolation,
-    /// retries, watchdog) without a journal; for checkpointed dispatch
-    /// use [`CellGrid::dispatch_supervised`]. Reports are identical
-    /// either way for deterministic cells.
-    pub fn dispatch(&self, opts: &ExpOptions) -> Vec<RunReport> {
-        let mut sweep_opts = opts.sweep_options("");
-        sweep_opts.journal = None;
-        sweep_opts.costs = Some(self.costs.clone());
-        let run = run_supervised_batch(&opts.pool(), &self.requests, &sweep_opts);
-        opts.record_stats(&run.sched);
-        run.reports()
-    }
-
-    /// Dispatches with the full failure model: cells already checkpointed
-    /// in `<journal_dir>/<tag>.journal` are skipped on resume, and every
-    /// newly completed cell is checkpointed when the journal's in-order
-    /// cursor reaches it.
-    pub fn dispatch_supervised(&self, opts: &ExpOptions, tag: &str) -> SweepRun {
-        let mut sweep_opts = opts.sweep_options(tag);
-        sweep_opts.costs = Some(self.costs.clone());
-        let run = run_supervised_batch(&opts.pool(), &self.requests, &sweep_opts);
-        opts.record_stats(&run.sched);
-        run
+    /// # Errors
+    ///
+    /// A sweep killed mid-flight (a chaos drill) is an error naming
+    /// `tag`: some cells never ran, so no artifact may be published.
+    pub fn dispatch(&self, opts: &ExpOptions, tag: &str) -> Result<SweepRun, String> {
+        let sweep_opts = SweepOptions {
+            supervise: SuperviseConfig {
+                max_retries: opts.max_retries,
+                cell_timeout: opts.cell_timeout,
+                ..SuperviseConfig::default()
+            },
+            journal: opts
+                .journal_dir
+                .as_ref()
+                .map(|dir| dir.join(format!("{tag}.journal"))),
+            resume: opts.resume,
+            seeds: None,
+            chaos: opts.chaos.clone(),
+            chunk: opts.chunk,
+            costs: Some(self.costs.clone()),
+        };
+        let run = run_supervised_batch(&Pool::new(opts.threads), &self.requests, &sweep_opts);
+        opts.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .merge(&run.sched);
+        if run.interrupted {
+            return Err(format!(
+                "{tag} interrupted mid-sweep; resume from the journal to finish ({})",
+                run.summary()
+            ));
+        }
+        Ok(run)
     }
 
     /// Renders this grid's reports as a deterministic JSON fragment:
@@ -408,6 +353,13 @@ mod tests {
         CellGrid::from_spec(&tiny_spec()).expect("tiny spec materializes")
     }
 
+    /// Dispatches `grid` under `opts` and returns its reports.
+    fn run(grid: &CellGrid, opts: &ExpOptions) -> Vec<RunReport> {
+        grid.dispatch(opts, "t0")
+            .expect("not interrupted")
+            .reports()
+    }
+
     #[test]
     fn from_spec_names_bad_entries() {
         let mut spec = tiny_spec();
@@ -455,38 +407,37 @@ mod tests {
     #[test]
     fn grid_json_is_thread_count_invariant() {
         let grid = tiny_grid();
-        let serial = grid.to_json(&grid.dispatch(&ExpOptions::default()));
-        let threaded = grid.to_json(&grid.dispatch(&ExpOptions {
-            threads: 4,
-            ..Default::default()
-        }));
-        assert_eq!(serial.render(), threaded.render());
-        assert!(oraclesize_runtime::json::parses(&serial.render()));
+        let render = |threads| {
+            let opts = ExpOptions {
+                threads,
+                ..Default::default()
+            };
+            grid.to_json(&run(&grid, &opts)).render()
+        };
+        let serial = render(1);
+        assert_eq!(serial, render(4));
+        assert!(oraclesize_runtime::json::parse(&serial).is_some());
     }
 
     #[test]
     // Tracing is a debugging knob, not part of the sweep description, so
-    // this test keeps the legacy construction path (which also pins the
-    // shim's behavior).
-    #[allow(deprecated)]
+    // this test builds its grid cell by cell.
     fn traced_cells_get_a_trace_record_untraced_cells_do_not() {
         let inst = Instance::build(Arc::new(families::cycle(6)), 0, &EmptyOracle);
-        let mut grid = CellGrid::new();
-        grid.cell(
-            "plain",
+        let mut grid = CellGrid::default();
+        grid.add_cell(
+            "plain".to_string(),
             RunRequest::new(Arc::clone(&inst), Arc::new(FloodOnce), SimConfig::default()),
         );
-        grid.cell(
-            "traced",
+        grid.add_cell(
+            "traced".to_string(),
             RunRequest::new(
                 inst,
                 Arc::new(FloodOnce),
                 SimConfig::broadcast().capture_trace(TraceSpec::Full),
             ),
         );
-        let json = grid
-            .to_json(&grid.dispatch(&ExpOptions::default()))
-            .render();
+        let json = grid.to_json(&run(&grid, &ExpOptions::default())).render();
         // Exactly one cell carries the trace sub-object.
         assert_eq!(json.matches("\"trace\": {").count(), 1, "{json}");
         assert!(json.contains("\"delivered\": "), "{json}");
@@ -495,7 +446,7 @@ mod tests {
     #[test]
     fn emit_json_respects_unset_dir() {
         let grid = tiny_grid();
-        let json = grid.to_json(&grid.dispatch(&ExpOptions::default()));
+        let json = grid.to_json(&run(&grid, &ExpOptions::default()));
         assert_eq!(emit_json(&ExpOptions::default(), "t0", json), Ok(None));
     }
 
@@ -507,11 +458,11 @@ mod tests {
             ..Default::default()
         };
         let grid = tiny_grid();
-        let json = grid.to_json(&grid.dispatch(&opts));
+        let json = grid.to_json(&run(&grid, &opts));
         let path = emit_json(&opts, "t0", json).expect("emit").expect("path");
         assert_eq!(path.file_name().unwrap(), "BENCH_T0.json");
         let body = std::fs::read_to_string(&path).unwrap();
-        assert!(oraclesize_runtime::json::parses(&body));
+        assert!(oraclesize_runtime::json::parse(&body).is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -529,8 +480,8 @@ mod tests {
     fn supervised_dispatch_checkpoints_and_resumes() {
         let dir = std::env::temp_dir().join(format!("oraclesize-grid-sup-{}", std::process::id()));
         let grid = tiny_grid();
-        let baseline = grid.dispatch(&ExpOptions::default());
-        let killed = grid.dispatch_supervised(
+        let baseline = run(&grid, &ExpOptions::default());
+        let killed = grid.dispatch(
             &ExpOptions {
                 journal_dir: Some(dir.clone()),
                 chaos: ChaosPlan::new().die_before(2),
@@ -538,8 +489,9 @@ mod tests {
             },
             "t0",
         );
-        assert!(killed.interrupted);
-        let resumed = grid.dispatch_supervised(
+        let err = killed.map(|_| ()).unwrap_err();
+        assert!(err.starts_with("t0 interrupted mid-sweep"), "{err}");
+        let resumed = grid.dispatch(
             &ExpOptions {
                 journal_dir: Some(dir.clone()),
                 resume: true,
@@ -547,8 +499,7 @@ mod tests {
             },
             "t0",
         );
-        assert!(!resumed.interrupted);
-        assert_eq!(resumed.reports(), baseline);
+        assert_eq!(resumed.unwrap().reports(), baseline);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,4 +1,5 @@
-//! Shared experiment plumbing: sweeps, seeds, and report assembly.
+//! Shared experiment plumbing: sweeps, seeds, report assembly, and the
+//! command-line flag parser.
 
 use oraclesize_graph::families::Family;
 
@@ -60,6 +61,77 @@ impl Report {
     }
 }
 
+/// Command-line arguments split into flags and positionals — the one
+/// flag parser behind every `experiments` subcommand.
+#[derive(Debug, Default)]
+pub struct Args {
+    /// `(flag, value)` pairs in command-line order; switches carry `None`.
+    flags: Vec<(String, Option<String>)>,
+    /// The arguments that are not flags, in order.
+    pub positional: Vec<String>,
+}
+
+impl Args {
+    /// Splits `args`: each flag named in `switches` stands alone, each
+    /// flag named in `valued` takes the next argument as its value.
+    /// Flags may appear anywhere among the positionals.
+    ///
+    /// # Errors
+    ///
+    /// Returns a usage message for an unknown `--flag` or a valued flag
+    /// missing its value.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        switches: &[&str],
+        valued: &[&str],
+    ) -> Result<Args, String> {
+        let mut out = Args::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            if switches.contains(&arg.as_str()) {
+                out.flags.push((arg, None));
+            } else if valued.contains(&arg.as_str()) {
+                let value = args
+                    .next()
+                    .ok_or_else(|| format!("{arg} requires a value"))?;
+                out.flags.push((arg, Some(value)));
+            } else if arg.starts_with("--") {
+                return Err(format!("unknown flag {arg:?}"));
+            } else {
+                out.positional.push(arg);
+            }
+        }
+        Ok(out)
+    }
+
+    /// `true` when `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| f == flag)
+    }
+
+    /// The value of the first occurrence of a valued `flag`.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .find(|(f, _)| f == flag)
+            .and_then(|(_, v)| v.as_deref())
+    }
+
+    /// The value of `flag` as a non-negative integer.
+    ///
+    /// # Errors
+    ///
+    /// Returns a usage message when the value is not an integer.
+    pub fn number(&self, flag: &str) -> Result<Option<usize>, String> {
+        self.value(flag)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("{flag} expects a positive integer, got {v:?}"))
+            })
+            .transpose()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,5 +148,35 @@ mod tests {
         let s = r.render();
         assert!(s.starts_with("## T0"));
         assert!(s.find("hello").unwrap() < s.find("| a |").unwrap());
+    }
+
+    fn args(line: &str) -> Result<Args, String> {
+        Args::parse(
+            line.split_whitespace().map(String::from),
+            &["--large"],
+            &["--threads", "--out"],
+        )
+    }
+
+    #[test]
+    fn args_split_flags_from_positionals_and_reject_bad_input() {
+        let a = args("t1 --threads 4 --large t7 --out dir").unwrap();
+        assert_eq!(a.positional, vec!["t1", "t7"]);
+        assert!(a.has("--large") && !args("t1").unwrap().has("--large"));
+        assert_eq!(a.value("--out"), Some("dir"));
+        assert_eq!(a.number("--threads"), Ok(Some(4)));
+        assert_eq!(a.number("--missing"), Ok(None));
+        assert_eq!(
+            args("t1 --threads").unwrap_err(),
+            "--threads requires a value"
+        );
+        assert_eq!(args("--bogus").unwrap_err(), "unknown flag \"--bogus\"");
+        assert_eq!(
+            args("--threads x")
+                .unwrap()
+                .number("--threads")
+                .unwrap_err(),
+            "--threads expects a positive integer, got \"x\""
+        );
     }
 }

@@ -1,13 +1,12 @@
-//! The batch API: `RunRequest` in, `RunReport` out, cell order preserved.
+//! The cell API: `RunRequest` in, `RunReport` out. Sweeps run cells
+//! through [`crate::supervise::run_supervised_batch`].
 
 use std::sync::Arc;
 
-use oraclesize_sim::engine::{run_with_sink, Completion, RunOutcome, SimConfig, SimError};
+use oraclesize_sim::engine::{run_with_sink, Completion, RunOutcome, SimConfig};
 use oraclesize_sim::protocol::Protocol;
 use oraclesize_sim::trace::{NullSink, RingSink, TraceEvent, TraceSpec, TraceStats, VecSink};
 use oraclesize_sim::{Instance, RunMetrics};
-
-use crate::pool::Pool;
 
 /// One cell of an experiment grid: which instance to run, with which
 /// scheme, under which configuration.
@@ -81,10 +80,11 @@ pub struct CellOutcome {
 /// engine's abort error (stringified, keeping the report `Eq`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunReport {
-    /// The cell index this report answers (same as its position in the
-    /// vector [`run_batch`] returns).
+    /// The cell index this report answers (same as its position in a
+    /// sweep's report vector).
     pub cell: usize,
-    /// Outcome, or the rendered [`SimError`] if the run aborted.
+    /// Outcome, or the rendered [`SimError`](oraclesize_sim::SimError) if
+    /// the run aborted.
     pub result: Result<CellOutcome, String>,
     /// The last events before things went wrong: when the request asked
     /// for [`TraceSpec::Ring`] tracing and the cell degraded or aborted,
@@ -114,29 +114,6 @@ fn cell_outcome(inst: &Instance, outcome: RunOutcome) -> CellOutcome {
         trace: outcome.trace,
         trace_stats: outcome.trace_stats,
     }
-}
-
-/// Executes a single request on the calling thread.
-///
-/// Traces are materialized with [`oraclesize_sim::engine::run`] semantics:
-/// both [`TraceSpec::Full`] captures and [`TraceSpec::Ring`] tails land in
-/// the outcome's `trace`. (Ring post-mortems for *aborted* cells are only
-/// available through [`run_cell_report`], which keeps the sink across the
-/// failure.)
-///
-/// # Errors
-///
-/// Propagates the engine's [`SimError`] on abort.
-pub fn run_cell(request: &RunRequest) -> Result<CellOutcome, SimError> {
-    let inst = &request.instance;
-    let outcome = oraclesize_sim::engine::run(
-        &inst.graph,
-        inst.source,
-        &inst.advice,
-        request.protocol.as_ref(),
-        &request.config,
-    )?;
-    Ok(cell_outcome(inst, outcome))
 }
 
 /// Executes a single request, capturing traces per the request's
@@ -185,15 +162,6 @@ pub fn run_cell_report(cell: usize, request: &RunRequest) -> RunReport {
     }
 }
 
-/// Runs every request across the pool and returns reports **in cell
-/// order**. Identical output at any thread count (see the crate-level
-/// determinism contract).
-pub fn run_batch(pool: &Pool, requests: &[RunRequest]) -> Vec<RunReport> {
-    pool.run(requests.len(), |cell| {
-        run_cell_report(cell, &requests[cell])
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,22 +169,6 @@ mod tests {
     use oraclesize_graph::families;
     use oraclesize_sim::protocol::FloodOnce;
     use oraclesize_sim::{FaultPlan, SimConfig};
-
-    #[test]
-    fn batch_reports_carry_cell_indices() {
-        let inst = Instance::build(Arc::new(families::path(5)), 0, &EmptyOracle);
-        let reqs: Vec<RunRequest> = (0..6)
-            .map(|_| RunRequest::new(Arc::clone(&inst), Arc::new(FloodOnce), SimConfig::default()))
-            .collect();
-        let reports = run_batch(&Pool::new(3), &reqs);
-        assert_eq!(reports.len(), 6);
-        for (i, r) in reports.iter().enumerate() {
-            assert_eq!(r.cell, i);
-            let out = r.outcome().expect("flooding completes");
-            assert!(out.completed);
-            assert_eq!(out.metrics.messages, 4);
-        }
-    }
 
     #[test]
     fn engine_errors_become_report_errors() {
@@ -259,11 +211,8 @@ mod tests {
         }
         let inst = Instance::build(Arc::new(families::path(3)), 0, &EmptyOracle);
         let cfg = SimConfig::wakeup();
-        let reports = run_batch(
-            &Pool::default(),
-            &[RunRequest::new(inst, Arc::new(AllStart), cfg)],
-        );
-        let err = reports[0].result.as_ref().unwrap_err();
+        let report = run_cell_report(0, &RunRequest::new(inst, Arc::new(AllStart), cfg));
+        let err = report.result.as_ref().unwrap_err();
         assert!(err.contains("before being woken up"), "{err}");
     }
 
@@ -271,15 +220,12 @@ mod tests {
     fn full_trace_requests_fill_cell_outcomes() {
         let inst = Instance::build(Arc::new(families::cycle(5)), 0, &EmptyOracle);
         let cfg = SimConfig::broadcast().capture_trace(TraceSpec::Full);
-        let reports = run_batch(
-            &Pool::new(2),
-            &[RunRequest::new(inst, Arc::new(FloodOnce), cfg)],
-        );
-        let out = reports[0].outcome().unwrap();
+        let report = run_cell_report(0, &RunRequest::new(inst, Arc::new(FloodOnce), cfg));
+        let out = report.outcome().unwrap();
         assert!(!out.trace.is_empty());
         assert_eq!(TraceStats::tally(&out.trace), out.trace_stats);
         assert_eq!(out.trace_stats.delivered, out.metrics.steps);
-        assert!(reports[0].post_mortem.is_empty(), "completed: no tail");
+        assert!(report.post_mortem.is_empty(), "completed: no tail");
     }
 
     #[test]
@@ -292,13 +238,13 @@ mod tests {
             .with_faults(FaultPlan::message_faults(3, 1.0, 0.0, 0.0))
             .capture_trace(TraceSpec::Ring { capacity: 8 });
         let clean = SimConfig::broadcast().capture_trace(TraceSpec::Ring { capacity: 8 });
-        let reports = run_batch(
-            &Pool::new(1),
-            &[
-                RunRequest::new(Arc::clone(&inst), Arc::new(FloodOnce), doomed),
-                RunRequest::new(inst, Arc::new(FloodOnce), clean),
-            ],
-        );
+        let reports = [
+            run_cell_report(
+                0,
+                &RunRequest::new(Arc::clone(&inst), Arc::new(FloodOnce), doomed),
+            ),
+            run_cell_report(1, &RunRequest::new(inst, Arc::new(FloodOnce), clean)),
+        ];
         assert!(!reports[0].outcome().unwrap().completed);
         assert!(!reports[0].post_mortem.is_empty());
         assert!(reports[0].outcome().unwrap().trace.is_empty());

@@ -9,7 +9,7 @@
 //! run.
 //!
 //! **Test/bin-only API.** Nothing here belongs in production call sites:
-//! the only consumers are tests, the `chaos_smoke` binary, and the
+//! the only consumers are tests, `experiments chaos-smoke`, and the
 //! supervision layer's injection hook. Plans are inert by default, and an
 //! inert plan costs two `BTreeMap` lookups per attempt.
 //!

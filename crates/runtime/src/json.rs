@@ -168,202 +168,145 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The writer's deepest
+/// documents (a service message wrapping a spec or an artifact) nest
+/// under ten levels; the cap keeps hostile input such as a megabyte of
+/// `[` from overflowing the parsing thread's stack.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses the exact subset [`Json::render`] emits back into a [`Json`]
-/// value — the read half of the checkpoint journal. Returns `None` on
-/// anything outside the subset (floats, negative numbers, trailing
-/// garbage), which loaders treat as a torn or corrupt record, never a
-/// panic.
+/// value — the read half of the checkpoint journal, the spec reader, and
+/// the service protocol. Returns `None` on anything outside the subset
+/// (floats, negative numbers, trailing garbage) and on nesting deeper
+/// than [`MAX_DEPTH`], which loaders treat as a torn or corrupt record,
+/// never a panic. Runs in time linear in the input.
 pub fn parse(s: &str) -> Option<Json> {
-    fn skip_ws(b: &[u8], mut i: usize) -> usize {
-        while i < b.len() && (b[i] as char).is_whitespace() {
-            i += 1;
-        }
-        i
+    let mut p = Parser { s, i: 0 };
+    let v = p.value(0)?;
+    p.ws();
+    (p.i == s.len()).then_some(v)
+}
+
+/// A cursor over input that is already valid UTF-8. It only ever splits
+/// the input at ASCII bytes, so every slice it takes is valid too, and
+/// runs of plain string bytes are copied in one push.
+struct Parser<'a> {
+    s: &'a str,
+    i: usize,
+}
+
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.s.as_bytes().get(self.i).copied()
     }
-    fn string(b: &[u8], i: usize) -> Option<(String, usize)> {
-        if b.get(i) != Some(&b'"') {
-            return None;
+
+    fn ws(&mut self) {
+        self.run(|c| c.is_ascii_whitespace());
+    }
+
+    /// Skips whitespace, then consumes `c` if it comes next.
+    fn eat(&mut self, c: u8) -> bool {
+        self.ws();
+        let hit = self.peek() == Some(c);
+        self.i += usize::from(hit);
+        hit
+    }
+
+    /// Consumes and returns the longest run of bytes satisfying `f`.
+    fn run(&mut self, f: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.i;
+        while self.peek().is_some_and(&f) {
+            self.i += 1;
         }
-        let mut out = String::new();
-        let mut i = i + 1;
-        while i < b.len() {
-            match b[i] {
-                b'\\' => {
-                    let esc = *b.get(i + 1)?;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = std::str::from_utf8(b.get(i + 2..i + 6)?).ok()?;
-                            let code = u32::from_str_radix(hex, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            i += 4;
-                        }
-                        _ => return None,
-                    }
-                    i += 2;
-                }
-                b'"' => return Some((out, i + 1)),
-                _ => {
-                    // Multi-byte characters were written verbatim; copy the
-                    // whole scalar back out.
-                    let tail = std::str::from_utf8(&b[i..]).ok()?;
-                    let c = tail.chars().next()?;
-                    out.push(c);
-                    i += c.len_utf8();
-                }
+        &self.s[start..self.i]
+    }
+
+    /// Parses comma-separated `item`s up to `close` (opener consumed).
+    fn seq(&mut self, close: u8, mut item: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
+        if self.eat(close) {
+            return Some(());
+        }
+        loop {
+            item(self)?;
+            if self.eat(close) {
+                return Some(());
             }
+            self.eat(b',').then_some(())?;
         }
-        None
     }
-    fn value(b: &[u8], i: usize) -> Option<(Json, usize)> {
-        let i = skip_ws(b, i);
-        match b.get(i)? {
+
+    fn value(&mut self, depth: usize) -> Option<Json> {
+        self.ws();
+        let c = self.peek()?;
+        if c == b'[' || c == b'{' {
+            if depth >= MAX_DEPTH {
+                return None;
+            }
+            self.i += 1;
+        }
+        match c {
             b'{' => {
                 let mut fields = Vec::new();
-                let mut i = skip_ws(b, i + 1);
-                if b.get(i) == Some(&b'}') {
-                    return Some((Json::Object(fields), i + 1));
-                }
-                loop {
-                    let (key, next) = string(b, skip_ws(b, i))?;
-                    i = skip_ws(b, next);
-                    if b.get(i) != Some(&b':') {
-                        return None;
-                    }
-                    let (val, next) = value(b, i + 1)?;
-                    fields.push((key, val));
-                    i = skip_ws(b, next);
-                    match b.get(i)? {
-                        b',' => i = skip_ws(b, i + 1),
-                        b'}' => return Some((Json::Object(fields), i + 1)),
-                        _ => return None,
-                    }
-                }
+                self.seq(b'}', |p| {
+                    p.ws();
+                    let key = p.string()?;
+                    p.eat(b':').then_some(())?;
+                    fields.push((key, p.value(depth + 1)?));
+                    Some(())
+                })?;
+                Some(Json::Object(fields))
             }
             b'[' => {
                 let mut items = Vec::new();
-                let mut i = skip_ws(b, i + 1);
-                if b.get(i) == Some(&b']') {
-                    return Some((Json::Array(items), i + 1));
-                }
-                loop {
-                    let (item, next) = value(b, i)?;
-                    items.push(item);
-                    i = skip_ws(b, next);
-                    match b.get(i)? {
-                        b',' => i = skip_ws(b, i + 1),
-                        b']' => return Some((Json::Array(items), i + 1)),
-                        _ => return None,
-                    }
-                }
+                self.seq(b']', |p| {
+                    items.push(p.value(depth + 1)?);
+                    Some(())
+                })?;
+                Some(Json::Array(items))
             }
-            b'"' => string(b, i).map(|(s, next)| (Json::Str(s), next)),
-            b't' => b[i..]
-                .starts_with(b"true")
-                .then(|| (Json::Bool(true), i + 4)),
-            b'f' => b[i..]
-                .starts_with(b"false")
-                .then(|| (Json::Bool(false), i + 5)),
-            b'n' => b[i..].starts_with(b"null").then(|| (Json::Null, i + 4)),
-            c if c.is_ascii_digit() => {
-                let mut j = i;
-                while j < b.len() && b[j].is_ascii_digit() {
-                    j += 1;
-                }
-                let n: u64 = std::str::from_utf8(&b[i..j]).ok()?.parse().ok()?;
-                Some((Json::U64(n), j))
-            }
-            _ => None,
+            b'"' => self.string().map(Json::Str),
+            b'0'..=b'9' => self.run(|c| c.is_ascii_digit()).parse().ok().map(Json::U64),
+            _ => [
+                ("true", Json::Bool(true)),
+                ("false", Json::Bool(false)),
+                ("null", Json::Null),
+            ]
+            .into_iter()
+            .find(|(word, _)| self.s[self.i..].starts_with(word))
+            .map(|(word, v)| {
+                self.i += word.len();
+                v
+            }),
         }
     }
-    let b = s.as_bytes();
-    let (v, end) = value(b, 0)?;
-    (skip_ws(b, end) == b.len()).then_some(v)
-}
 
-/// A tolerant structural check used by tests and the CI smoke job: `true`
-/// iff `s` parses as a JSON value covering the subset this writer emits.
-pub fn parses(s: &str) -> bool {
-    fn skip_ws(b: &[u8], mut i: usize) -> usize {
-        while i < b.len() && (b[i] as char).is_whitespace() {
-            i += 1;
-        }
-        i
-    }
-    fn value(b: &[u8], i: usize) -> Option<usize> {
-        let i = skip_ws(b, i);
-        match b.get(i)? {
-            b'{' => {
-                let mut i = skip_ws(b, i + 1);
-                if b.get(i) == Some(&b'}') {
-                    return Some(i + 1);
-                }
-                loop {
-                    i = string(b, skip_ws(b, i))?;
-                    i = skip_ws(b, i);
-                    if b.get(i) != Some(&b':') {
-                        return None;
-                    }
-                    i = value(b, i + 1)?;
-                    i = skip_ws(b, i);
-                    match b.get(i)? {
-                        b',' => i += 1,
-                        b'}' => return Some(i + 1),
-                        _ => return None,
-                    }
-                }
+    fn string(&mut self) -> Option<String> {
+        (self.peek() == Some(b'"')).then_some(())?;
+        self.i += 1;
+        let mut out = String::new();
+        loop {
+            out.push_str(self.run(|c| c != b'"' && c != b'\\'));
+            if self.peek()? == b'"' {
+                self.i += 1;
+                return Some(out);
             }
-            b'[' => {
-                let mut i = skip_ws(b, i + 1);
-                if b.get(i) == Some(&b']') {
-                    return Some(i + 1);
+            let esc = *self.s.as_bytes().get(self.i + 1)?;
+            self.i += 2;
+            out.push(match esc {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'u' => {
+                    let hex = self.s.get(self.i..self.i + 4)?;
+                    self.i += 4;
+                    char::from_u32(u32::from_str_radix(hex, 16).ok()?)?
                 }
-                loop {
-                    i = value(b, i)?;
-                    i = skip_ws(b, i);
-                    match b.get(i)? {
-                        b',' => i += 1,
-                        b']' => return Some(i + 1),
-                        _ => return None,
-                    }
-                }
-            }
-            b'"' => string(b, i),
-            b't' => b[i..].starts_with(b"true").then_some(i + 4),
-            b'f' => b[i..].starts_with(b"false").then_some(i + 5),
-            b'n' => b[i..].starts_with(b"null").then_some(i + 4),
-            c if c.is_ascii_digit() || *c == b'-' => {
-                let mut i = i + 1;
-                while i < b.len()
-                    && (b[i].is_ascii_digit() || matches!(b[i], b'.' | b'e' | b'E' | b'+' | b'-'))
-                {
-                    i += 1;
-                }
-                Some(i)
-            }
-            _ => None,
+                _ => return None,
+            });
         }
     }
-    fn string(b: &[u8], i: usize) -> Option<usize> {
-        if b.get(i) != Some(&b'"') {
-            return None;
-        }
-        let mut i = i + 1;
-        while i < b.len() {
-            match b[i] {
-                b'\\' => i += 2,
-                b'"' => return Some(i + 1),
-                _ => i += 1,
-            }
-        }
-        None
-    }
-    let b = s.as_bytes();
-    value(b, 0).map(|end| skip_ws(b, end) == b.len()) == Some(true)
 }
 
 #[cfg(test)]
@@ -386,17 +329,36 @@ mod tests {
     }
 
     #[test]
-    fn parses_accepts_own_output() {
+    fn parse_accepts_own_output() {
         let j = Json::obj()
             .field("a", 3u64)
             .field("b", Json::Array(vec![Json::Null, Json::Str("x".into())]));
-        assert!(parses(&j.render()));
+        assert_eq!(parse(&j.render()), Some(j));
     }
 
     #[test]
-    fn parses_rejects_garbage() {
-        for bad in ["{", "[1,", "{\"a\" 1}", "tru", "\"open", "{} extra"] {
-            assert!(!parses(bad), "{bad:?} should not parse");
+    fn parse_rejects_garbage() {
+        for bad in [
+            "{",
+            "[1,",
+            "{\"a\" 1}",
+            "tru",
+            "\"open",
+            "{} extra",
+            "-1",
+            "1.5",
+            "\"\\x\"",
+        ] {
+            assert_eq!(parse(bad), None, "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_rejected_not_a_stack_overflow() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_some());
+        assert_eq!(parse(&nest(MAX_DEPTH + 1)), None);
+        assert_eq!(parse(&"[".repeat(1 << 20)), None);
+        assert_eq!(parse(&"{\"a\": ".repeat(1 << 18)), None);
     }
 }

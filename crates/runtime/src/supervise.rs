@@ -1,10 +1,10 @@
 //! The supervision layer: panic isolation, bounded retries, a per-cell
 //! watchdog, and journal-backed resume for batch sweeps.
 //!
-//! [`run_batch`](crate::batch::run_batch) assumes every cell runs to a
-//! report; a panicking protocol or a runaway cell takes the whole sweep
-//! down with it. [`run_supervised_batch`] wraps the same pool dispatch in
-//! a failure model:
+//! A bare pool dispatch assumes every cell runs to a report; a panicking
+//! protocol or a runaway cell would take the whole sweep down with it.
+//! [`run_supervised_batch`] — the one way a sweep runs — wraps the pool
+//! dispatch in a failure model:
 //!
 //! * **panic isolation** — each attempt runs under `catch_unwind`; a
 //!   panic becomes an `Err("panic: …")` report for that attempt instead
@@ -34,8 +34,8 @@
 //! Every cell ends in a [`CellStatus`]: `Completed` (clean first
 //! attempt), `Resumed` (replayed from the journal), `Degraded { retries }`
 //! (recovered after failures), or `Aborted` (retry budget exhausted).
-//! The *reports* a supervised sweep produces are bit-identical to an
-//! unsupervised `run_batch` whenever the cells themselves are
+//! The *reports* a supervised sweep produces are bit-identical to the
+//! serial loop over [`run_cell_report`] whenever the cells themselves are
 //! deterministic — retries re-run the same pure function — so merged
 //! artifacts stay byte-identical across crash/resume boundaries and
 //! supervision levels alike.
@@ -99,8 +99,8 @@ impl Default for SuperviseConfig {
 /// A cell report plus its supervision verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupervisedReport {
-    /// The report the sweep's merge step consumes — identical to what an
-    /// unsupervised run would produce for a deterministic cell.
+    /// The report the sweep's merge step consumes — identical to what a
+    /// serial [`run_cell_report`] call returns for a deterministic cell.
     pub report: RunReport,
     /// How the cell concluded.
     pub status: CellStatus,
@@ -183,7 +183,7 @@ pub struct SweepRun {
 
 impl SweepRun {
     /// The plain reports, in cell order — the input the merge step and
-    /// metric sinks already understand.
+    /// [`Aggregate`](crate::Aggregate) already understand.
     pub fn reports(&self) -> Vec<RunReport> {
         self.cells.iter().map(|c| c.report.clone()).collect()
     }
@@ -369,18 +369,6 @@ impl OrderedCommitter {
             next: base,
             warnings: Vec::new(),
         }
-    }
-
-    /// The first cell index that has not yet flushed — settled cells
-    /// below it are durably committed (or recorded as no-ops).
-    pub fn flushed_up_to(&self) -> usize {
-        self.next
-    }
-
-    /// Consumes the committer, returning the journal (if any) and the
-    /// checkpoint warnings accumulated along the way.
-    pub fn into_parts(self) -> (Option<Journal>, Vec<String>) {
-        (self.journal, self.warnings)
     }
 
     /// Marks `cell` settled (with its checkpoint record, if it earned

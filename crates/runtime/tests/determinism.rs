@@ -1,61 +1,51 @@
 //! The determinism contract, pinned down: for a fixed request list, the
-//! batch report vector — and everything derived from it (aggregates,
-//! rendered JSON) — is identical at `--threads 1`, `2`, `8`, and `16`
-//! (the last oversubscribing this machine, so workers genuinely
+//! supervised sweep's report vector — and everything derived from it
+//! (the rendered grid JSON with its aggregate) — equals the plain serial
+//! loop over `run_cell_report` at `--threads 1`, `2`, `3`, `8`, and `16`
+//! (the last oversubscribing any small machine, so workers genuinely
 //! interleave and steal), under any chunk plan.
 
-use std::sync::Arc;
+mod common;
 
-use oraclesize_core::oracle::EmptyOracle;
+use common::serial;
 use oraclesize_graph::families::Family;
-use oraclesize_runtime::{
-    drain, run_batch, Aggregate, ChunkPlan, MetricsSink, Pool, ReportCollector, RunRequest,
-};
-use oraclesize_sim::protocol::FloodOnce;
-use oraclesize_sim::{FaultPlan, Instance, SchedulerKind, SimConfig, TraceSpec};
+use oraclesize_runtime::spec::grid_json;
+use oraclesize_runtime::{run_supervised_batch, Pool, RunReport, RunRequest, SweepOptions};
+use oraclesize_sim::TraceSpec;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-/// Builds a grid of cells over one shared instance: a seed sweep with
-/// per-cell schedulers and fault plans, exercising every code path that
-/// could conceivably differ across workers.
+/// The shared grid with a mix of full, ring and no trace capture.
 fn grid(fam: Family, n: usize, seed: u64, cells: usize) -> Vec<RunRequest> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let g = Arc::new(fam.build(n, &mut rng));
-    let source = seed as usize % g.num_nodes();
-    let instance = Instance::build(g, source, &EmptyOracle);
-    let protocol: Arc<dyn oraclesize_sim::protocol::Protocol + Send + Sync> = Arc::new(FloodOnce);
-    (0..cells)
-        .map(|cell| {
-            let cell_seed = seed.wrapping_add(cell as u64);
-            let config = SimConfig::broadcast()
-                .with_scheduler(match cell % 3 {
-                    0 => SchedulerKind::Fifo,
-                    1 => SchedulerKind::Lifo,
-                    _ => SchedulerKind::Random { seed: cell_seed },
-                })
-                .with_synchronous(cell % 2 == 0)
-                .with_faults(if cell % 2 == 0 {
-                    FaultPlan::message_faults(cell_seed, 0.1, 0.1, 0.2)
-                } else {
-                    FaultPlan::default()
-                })
-                .capture_trace(match cell % 4 {
-                    0 => TraceSpec::Full,
-                    1 => TraceSpec::Ring { capacity: 16 },
-                    _ => TraceSpec::Off,
-                });
-            RunRequest::new(Arc::clone(&instance), Arc::clone(&protocol), config)
-        })
-        .collect()
+    common::grid(fam, n, seed, cells, |cell| match cell % 4 {
+        0 => TraceSpec::Full,
+        1 => TraceSpec::Ring { capacity: 16 },
+        _ => TraceSpec::Off,
+    })
+}
+
+/// The supervised sweep at `threads` workers, optionally with a fixed
+/// chunk size.
+fn pooled(requests: &[RunRequest], threads: usize, chunk: Option<usize>) -> Vec<RunReport> {
+    let opts = SweepOptions {
+        chunk,
+        ..SweepOptions::default()
+    };
+    let sweep = run_supervised_batch(&Pool::new(threads), requests, &opts);
+    assert_eq!(sweep.sched.tasks as usize, requests.len());
+    sweep.reports()
+}
+
+/// The artifact bytes a report vector renders to.
+fn rendered(reports: &[RunReport]) -> String {
+    let labels: Vec<String> = (0..reports.len()).map(|i| format!("cell-{i}")).collect();
+    grid_json(&labels, reports).render()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Satellite 3: for a fixed seed, `RunReport`s are identical for
-    /// `--threads` 1, 2, 8, and 16 — and so are the aggregate JSON bytes.
+    /// For a fixed seed, `RunReport`s are identical for `--threads` 1, 2,
+    /// 8, and 16 — and so are the rendered grid JSON bytes.
     #[test]
     fn reports_identical_across_thread_counts(
         fam in proptest::sample::select(Family::ALL.to_vec()),
@@ -63,22 +53,11 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let requests = grid(fam, n, seed, 12);
-        let serial = run_batch(&Pool::new(1), &requests);
-        for threads in [2usize, 8, 16] {
-            let parallel = run_batch(&Pool::new(threads), &requests);
+        let serial = serial(&requests);
+        for threads in [1usize, 2, 8, 16] {
+            let parallel = pooled(&requests, threads, None);
             prop_assert_eq!(&serial, &parallel, "threads = {}", threads);
-
-            let mut agg_s = Aggregate::new();
-            let mut agg_p = Aggregate::new();
-            drain(&mut agg_s, &serial);
-            drain(&mut agg_p, &parallel);
-            prop_assert_eq!(agg_s.finish().render(), agg_p.finish().render());
-
-            let mut coll_s = ReportCollector::new();
-            let mut coll_p = ReportCollector::new();
-            drain(&mut coll_s, &serial);
-            drain(&mut coll_p, &parallel);
-            prop_assert_eq!(coll_s.finish().render(), coll_p.finish().render());
+            prop_assert_eq!(rendered(&serial), rendered(&parallel));
         }
     }
 
@@ -91,13 +70,8 @@ proptest! {
         threads in proptest::sample::select(vec![2usize, 8, 16]),
     ) {
         let requests = grid(Family::Torus, 16, seed, 18);
-        let serial = run_batch(&Pool::new(1), &requests);
-        let pool = Pool::new(threads);
-        let plan = ChunkPlan::uniform(requests.len(), chunk);
-        let (chunked, stats) =
-            pool.run_chunked(&plan, |i| oraclesize_runtime::run_cell_report(i, &requests[i]));
-        prop_assert_eq!(&serial, &chunked, "threads = {}, chunk = {}", threads, chunk);
-        prop_assert_eq!(stats.tasks as usize, requests.len());
+        let chunked = pooled(&requests, threads, Some(chunk));
+        prop_assert_eq!(&serial(&requests), &chunked, "threads = {}, chunk = {}", threads, chunk);
     }
 }
 
@@ -106,10 +80,10 @@ proptest! {
 #[test]
 fn fixed_grid_is_thread_count_invariant() {
     let requests = grid(Family::Cycle, 16, 2006, 24);
-    let serial = run_batch(&Pool::new(1), &requests);
+    let serial = serial(&requests);
     assert_eq!(serial.len(), 24);
     assert!(serial.iter().any(|r| r.outcome().is_some()));
-    for threads in [2, 3, 8, 16] {
-        assert_eq!(serial, run_batch(&Pool::new(threads), &requests));
+    for threads in [1, 2, 3, 8, 16] {
+        assert_eq!(serial, pooled(&requests, threads, None));
     }
 }

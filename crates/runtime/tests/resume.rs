@@ -3,48 +3,24 @@
 //! and torn journal writes — and a killed-and-resumed sweep must produce
 //! exactly the reports of an uninterrupted run, at any thread count.
 
-use std::path::PathBuf;
-use std::sync::Arc;
+mod common;
 
-use oraclesize_core::oracle::EmptyOracle;
+use std::path::PathBuf;
+
+use common::serial;
 use oraclesize_graph::families::Family;
 use oraclesize_runtime::{
-    chaos, run_batch, run_supervised_batch, CellStatus, ChaosPlan, Pool, RunRequest,
-    SuperviseConfig, SweepOptions,
+    chaos, run_supervised_batch, CellStatus, ChaosPlan, Pool, RunRequest, SuperviseConfig,
+    SweepOptions,
 };
-use oraclesize_sim::protocol::FloodOnce;
-use oraclesize_sim::{FaultPlan, Instance, SchedulerKind, SimConfig};
+use oraclesize_sim::TraceSpec;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-/// An untraced cell grid (traced cells are exercised by the batch suite;
-/// the journal deliberately re-runs them, so resume tests stay untraced
-/// to cover the replay path).
+/// The shared grid, untraced (traced cells are exercised by the
+/// determinism suite; the journal deliberately re-runs them, so resume
+/// tests stay untraced to cover the replay path).
 fn grid(fam: Family, n: usize, seed: u64, cells: usize) -> Vec<RunRequest> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let g = Arc::new(fam.build(n, &mut rng));
-    let source = seed as usize % g.num_nodes();
-    let instance = Instance::build(g, source, &EmptyOracle);
-    let protocol: Arc<dyn oraclesize_sim::protocol::Protocol + Send + Sync> = Arc::new(FloodOnce);
-    (0..cells)
-        .map(|cell| {
-            let cell_seed = seed.wrapping_add(cell as u64);
-            let config = SimConfig::broadcast()
-                .with_scheduler(match cell % 3 {
-                    0 => SchedulerKind::Fifo,
-                    1 => SchedulerKind::Lifo,
-                    _ => SchedulerKind::Random { seed: cell_seed },
-                })
-                .with_synchronous(cell % 2 == 0)
-                .with_faults(if cell % 2 == 0 {
-                    FaultPlan::message_faults(cell_seed, 0.1, 0.1, 0.2)
-                } else {
-                    FaultPlan::default()
-                });
-            RunRequest::new(Arc::clone(&instance), Arc::clone(&protocol), config)
-        })
-        .collect()
+    common::grid(fam, n, seed, cells, |_| TraceSpec::Off)
 }
 
 fn temp_journal(tag: &str) -> PathBuf {
@@ -61,9 +37,9 @@ fn options(journal: Option<PathBuf>) -> SweepOptions {
 }
 
 #[test]
-fn unsupervised_and_supervised_reports_agree() {
+fn supervised_reports_match_the_serial_reference() {
     let requests = grid(Family::Cycle, 12, 42, 10);
-    let baseline = run_batch(&Pool::new(1), &requests);
+    let baseline = serial(&requests);
     let sweep = run_supervised_batch(&Pool::new(3), &requests, &SweepOptions::default());
     assert!(!sweep.interrupted);
     assert!(sweep.warnings.is_empty());
@@ -114,7 +90,7 @@ fn journal_bytes_are_identical_across_thread_counts_and_chunks() {
 #[test]
 fn injected_panic_recovers_as_degraded() {
     let requests = grid(Family::Path, 8, 7, 6);
-    let baseline = run_batch(&Pool::new(1), &requests);
+    let baseline = serial(&requests);
     let opts = SweepOptions {
         supervise: SuperviseConfig {
             max_retries: 2,
@@ -167,7 +143,7 @@ fn panic_past_retry_budget_aborts_only_that_cell() {
 #[test]
 fn stall_trips_the_watchdog_and_recovers_on_retry() {
     let requests = grid(Family::Cycle, 10, 3, 4);
-    let baseline = run_batch(&Pool::new(1), &requests);
+    let baseline = serial(&requests);
     let opts = SweepOptions {
         supervise: SuperviseConfig {
             max_retries: 1,
@@ -210,7 +186,7 @@ fn watchdog_timeout_aborts_runaway_cells() {
 #[test]
 fn kill_and_resume_replays_journaled_cells() {
     let requests = grid(Family::RandomSparse, 14, 99, 9);
-    let baseline = run_batch(&Pool::new(1), &requests);
+    let baseline = serial(&requests);
     let path = temp_journal("kill-resume");
     let killed = run_supervised_batch(
         &Pool::new(1),
@@ -247,7 +223,7 @@ fn kill_and_resume_replays_journaled_cells() {
 #[test]
 fn torn_journal_record_reruns_the_cell_on_resume() {
     let requests = grid(Family::Path, 10, 17, 6);
-    let baseline = run_batch(&Pool::new(1), &requests);
+    let baseline = serial(&requests);
     let path = temp_journal("torn");
     let killed = run_supervised_batch(
         &Pool::new(1),
@@ -371,7 +347,7 @@ proptest! {
     ) {
         let cells = 10;
         let requests = grid(fam, n, seed, cells);
-        let baseline = run_batch(&Pool::new(1), &requests);
+        let baseline = serial(&requests);
         let path = temp_journal(&format!("prop-{seed}-{kill_a}-{kill_b}"));
         // First flight: fresh journal, killed at kill_a.
         let first = run_supervised_batch(&Pool::new(threads), &requests, &SweepOptions {

@@ -198,3 +198,56 @@ proptest! {
         prop_assert!(err.contains("master_seed"), "{}", err);
     }
 }
+
+/// A multi-megabyte spec — 20,000 cells whose labels carry non-ASCII text
+/// and every escape the writer emits — round-trips losslessly. The
+/// parser is linear, so this runs in the normal test budget.
+#[test]
+fn multi_megabyte_spec_round_trips() {
+    let mut spec = SweepSpec::new("big \"σ\" sweep\t→", 2006);
+    spec.instances.push(InstanceSpec {
+        family: "random-connected".to_string(),
+        n: 128,
+        seed: 1,
+        p_ppm: Some(50_000),
+        source: 0,
+        oracle: "empty".to_string(),
+    });
+    let base = CellSpec {
+        label: String::new(),
+        instance: 0,
+        scheme: "flood".to_string(),
+        retries: None,
+        mode: "broadcast".to_string(),
+        scheduler: None,
+        anonymous: false,
+        max_message_bits: None,
+        quiescence_polls: Some(16),
+        seed: 0,
+        faults: FaultSpec::default(),
+    };
+    spec.cells = (0..20_000u64)
+        .map(|i| CellSpec {
+            label: format!("cell {i} «é» 漢字 🦀 \"q\" \\ \n \r \t \u{0} \u{1f} \u{7f}"),
+            scheduler: Some(SchedulerSpec {
+                kind: "random".to_string(),
+                seed: i,
+            }),
+            anonymous: i % 2 == 0,
+            seed: i,
+            ..base.clone()
+        })
+        .collect();
+    let text = spec.render();
+    assert!(text.len() > 4 << 20, "{} bytes", text.len());
+    let parsed = SweepSpec::parse(&text).expect("rendered spec parses");
+    assert_eq!(parsed, spec);
+    assert_eq!(parsed.render(), text);
+}
+
+/// Nesting far past any real document is an error, not a stack overflow.
+#[test]
+fn deeply_nested_input_is_rejected() {
+    let err = SweepSpec::parse(&"[".repeat(1 << 20)).unwrap_err();
+    assert!(err.contains("not canonical JSON"), "{err}");
+}

@@ -1,61 +1,45 @@
-//! The observability determinism contract: rendered trace JSONL is
-//! byte-identical at `--threads` 1, 2, and 8 for the same request list.
+//! The observability determinism contract: rendered trace JSONL from a
+//! supervised sweep at `--threads` 1, 2, and 8 is byte-identical to the
+//! plain serial loop over `run_cell_report` for the same request list.
 //!
 //! Message ids are assigned in enqueue order by each cell's own engine
 //! run, so a cell's trace never depends on which worker thread executed
 //! it — concatenating per-cell renders in cell order therefore yields one
 //! deterministic artifact.
 
-use std::sync::Arc;
+mod common;
 
-use oraclesize_core::oracle::EmptyOracle;
 use oraclesize_graph::families::Family;
 use oraclesize_runtime::trace::render_jsonl;
-use oraclesize_runtime::{run_batch, Pool, RunRequest};
-use oraclesize_sim::protocol::FloodOnce;
-use oraclesize_sim::{FaultPlan, Instance, SchedulerKind, SimConfig, TraceSpec};
+use oraclesize_runtime::{run_supervised_batch, Pool, RunReport, RunRequest, SweepOptions};
+use oraclesize_sim::TraceSpec;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-/// A fully-traced seed sweep over one shared instance, mixing schedulers
-/// and fault plans so traces differ across cells.
+/// The shared grid with every cell fully traced.
 fn traced_grid(fam: Family, n: usize, seed: u64, cells: usize) -> Vec<RunRequest> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let g = Arc::new(fam.build(n, &mut rng));
-    let source = seed as usize % g.num_nodes();
-    let instance = Instance::build(g, source, &EmptyOracle);
-    let protocol: Arc<dyn oraclesize_sim::protocol::Protocol + Send + Sync> = Arc::new(FloodOnce);
-    (0..cells)
-        .map(|cell| {
-            let cell_seed = seed.wrapping_add(cell as u64);
-            let config = SimConfig::broadcast()
-                .with_scheduler(match cell % 3 {
-                    0 => SchedulerKind::Fifo,
-                    1 => SchedulerKind::Lifo,
-                    _ => SchedulerKind::Random { seed: cell_seed },
-                })
-                .with_synchronous(cell % 2 == 0)
-                .with_faults(if cell % 2 == 0 {
-                    FaultPlan::message_faults(cell_seed, 0.1, 0.1, 0.2)
-                } else {
-                    FaultPlan::default()
-                })
-                .capture_trace(TraceSpec::Full);
-            RunRequest::new(Arc::clone(&instance), Arc::clone(&protocol), config)
-        })
-        .collect()
+    common::grid(fam, n, seed, cells, |_| TraceSpec::Full)
 }
 
-/// Runs the batch and renders every cell's trace as one JSONL artifact.
-fn render_batch(pool: &Pool, requests: &[RunRequest]) -> String {
+/// Renders every cell's trace as one JSONL artifact, in cell order.
+fn render(reports: &[RunReport]) -> String {
     let mut out = String::new();
-    for report in run_batch(pool, requests) {
+    for report in reports {
         if let Some(outcome) = report.outcome() {
             out.push_str(&render_jsonl(report.cell as u64, &outcome.trace));
         }
     }
     out
+}
+
+/// The reference: each cell run on this thread, rendered in cell order.
+fn render_serial(requests: &[RunRequest]) -> String {
+    render(&common::serial(requests))
+}
+
+/// The supervised sweep at `threads` workers, rendered.
+fn render_pooled(threads: usize, requests: &[RunRequest]) -> String {
+    let sweep = run_supervised_batch(&Pool::new(threads), requests, &SweepOptions::default());
+    render(&sweep.reports())
 }
 
 proptest! {
@@ -70,10 +54,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let requests = traced_grid(fam, n, seed, 9);
-        let serial = render_batch(&Pool::new(1), &requests);
+        let serial = render_serial(&requests);
         prop_assert!(!serial.is_empty());
-        for threads in [2usize, 8] {
-            let parallel = render_batch(&Pool::new(threads), &requests);
+        for threads in [1usize, 2, 8] {
+            let parallel = render_pooled(threads, &requests);
             prop_assert_eq!(&serial, &parallel, "threads = {}", threads);
         }
     }
@@ -83,12 +67,12 @@ proptest! {
 #[test]
 fn fixed_traced_grid_is_thread_count_invariant() {
     let requests = traced_grid(Family::Cycle, 12, 2006, 12);
-    let serial = render_batch(&Pool::new(1), &requests);
+    let serial = render_serial(&requests);
     assert!(serial.lines().count() > 12, "traces should be non-trivial");
     for line in serial.lines() {
-        assert!(oraclesize_runtime::json::parses(line), "{line}");
+        assert!(oraclesize_runtime::json::parse(line).is_some(), "{line}");
     }
-    for threads in [2, 8] {
-        assert_eq!(serial, render_batch(&Pool::new(threads), &requests));
+    for threads in [1, 2, 8] {
+        assert_eq!(serial, render_pooled(threads, &requests));
     }
 }

@@ -40,6 +40,12 @@ pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
 /// Total header size in bytes.
 pub const HEADER_LEN: usize = 20;
 
+/// Payload buffer capacity reserved before any payload byte arrives. The
+/// buffer grows past it only as bytes are actually read, so a header
+/// announcing [`MAX_PAYLOAD`] and then going silent costs this much, not
+/// 64 MiB.
+const INITIAL_CAPACITY: usize = 64 * 1024;
+
 fn bad(what: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.into())
 }
@@ -99,8 +105,14 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(u16, Vec<u8>)> {
         header[12], header[13], header[14], header[15], header[16], header[17], header[18],
         header[19],
     ]);
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity((len as usize).min(INITIAL_CAPACITY));
+    r.by_ref().take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() < len as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "frame payload truncated",
+        ));
+    }
     if fnv1a64(&payload) != digest {
         return Err(bad("frame digest mismatch (corrupt payload)"));
     }
@@ -151,12 +163,17 @@ mod tests {
             read_frame(&mut flipped.as_slice()).unwrap_err().kind(),
             std::io::ErrorKind::InvalidData
         );
-        // Torn payload → unexpected EOF.
+        // Torn payload → unexpected EOF; so is a header announcing the
+        // largest payload followed by nothing.
         let torn = &good[..good.len() - 3];
-        assert_eq!(
-            read_frame(&mut &torn[..]).unwrap_err().kind(),
-            std::io::ErrorKind::UnexpectedEof
-        );
+        let mut silent = good[..HEADER_LEN].to_vec();
+        silent[8..12].copy_from_slice(&MAX_PAYLOAD.to_be_bytes());
+        for short in [torn, &silent[..]] {
+            assert_eq!(
+                read_frame(&mut &short[..]).unwrap_err().kind(),
+                std::io::ErrorKind::UnexpectedEof
+            );
+        }
     }
 
     #[test]

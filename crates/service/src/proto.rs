@@ -428,4 +428,15 @@ mod tests {
         let err = Message::decode(1, b"not json").unwrap_err();
         assert_eq!(err, "payload is not canonical JSON");
     }
+
+    #[test]
+    fn deeply_nested_payload_is_an_error_not_an_abort() {
+        // A megabyte of `[` inside a well-formed frame with a valid
+        // digest: the framing accepts it, the JSON reader must refuse it.
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 1, "[".repeat(1 << 20).as_bytes()).unwrap();
+        let err = recv(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("not canonical JSON"), "{err}");
+    }
 }

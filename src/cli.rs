@@ -48,8 +48,8 @@ use oraclesize_core::{execute, OracleRun};
 use oraclesize_graph::families::Family;
 use oraclesize_runtime::spec::to_ppm;
 use oraclesize_runtime::{
-    drain, run_supervised_batch, Aggregate, CellSpec, FaultSpec, InstanceSpec, JsonlSink, KnobSpec,
-    Pool, SchedulerSpec, SuperviseConfig, SweepOptions, SweepSpec,
+    run_supervised_batch, Aggregate, CellSpec, FaultSpec, InstanceSpec, JsonlSink, KnobSpec, Pool,
+    SchedulerSpec, SuperviseConfig, SweepOptions, SweepSpec,
 };
 use oraclesize_service::{Server, ServerConfig, WorkerConfig, WorkerOutcome};
 use oraclesize_sim::protocol::{FloodOnce, Protocol};
@@ -1129,8 +1129,7 @@ fn run_sweep(args: &SweepArgs) -> Result<(String, bool), String> {
     };
     let sweep = run_supervised_batch(&Pool::new(args.threads), grid.requests(), &sweep_opts);
     let reports = sweep.reports();
-    let mut agg = Aggregate::new();
-    drain(&mut agg, &reports);
+    let agg = Aggregate::of(&reports);
     if agg.errors > 0 {
         let first = reports
             .iter()
@@ -1865,7 +1864,7 @@ mod tests {
         let jsonl = run();
         assert!(!jsonl.is_empty());
         for line in jsonl.lines() {
-            assert!(oraclesize_runtime::json::parses(line), "{line}");
+            assert!(oraclesize_runtime::json::parse(line).is_some(), "{line}");
         }
         assert!(jsonl.contains("\"kind\": \"deliver\""), "{jsonl}");
         assert!(jsonl.contains("\"kind\": \"rollup\""), "{jsonl}");
