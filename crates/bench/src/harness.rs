@@ -1,6 +1,8 @@
 //! Shared experiment plumbing: sweeps, seeds, report assembly, and the
 //! command-line flag parser.
 
+use std::str::FromStr;
+
 use oraclesize_graph::families::Family;
 
 /// The master seed every experiment derives from; recorded in
@@ -109,24 +111,26 @@ impl Args {
         self.flags.iter().any(|(f, _)| f == flag)
     }
 
-    /// The value of the first occurrence of a valued `flag`.
+    /// The value of the last occurrence of a valued `flag`, so a later
+    /// `--seed 4` overrides an earlier `--seed 3`.
     pub fn value(&self, flag: &str) -> Option<&str> {
         self.flags
             .iter()
+            .rev()
             .find(|(f, _)| f == flag)
             .and_then(|(_, v)| v.as_deref())
     }
 
-    /// The value of `flag` as a non-negative integer.
+    /// The value of `flag` parsed as a `T` (an integer or a float).
     ///
     /// # Errors
     ///
-    /// Returns a usage message when the value is not an integer.
-    pub fn number(&self, flag: &str) -> Result<Option<usize>, String> {
+    /// Returns a usage message when the value does not parse as a `T`.
+    pub fn number<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
         self.value(flag)
             .map(|v| {
                 v.parse()
-                    .map_err(|_| format!("{flag} expects a positive integer, got {v:?}"))
+                    .map_err(|_| format!("{flag} expects a number, got {v:?}"))
             })
             .transpose()
     }
@@ -164,8 +168,17 @@ mod tests {
         assert_eq!(a.positional, vec!["t1", "t7"]);
         assert!(a.has("--large") && !args("t1").unwrap().has("--large"));
         assert_eq!(a.value("--out"), Some("dir"));
-        assert_eq!(a.number("--threads"), Ok(Some(4)));
-        assert_eq!(a.number("--missing"), Ok(None));
+        assert_eq!(a.number("--threads"), Ok(Some(4usize)));
+        assert_eq!(a.number::<u64>("--missing"), Ok(None));
+        // A repeated flag takes its last value.
+        let a = args("--threads 3 --out a --threads 5").unwrap();
+        assert_eq!(a.number("--threads"), Ok(Some(5u32)));
+        let a = args("--out 0.25").unwrap();
+        assert_eq!(a.number("--out"), Ok(Some(0.25f64)));
+        assert_eq!(
+            args("--out x").unwrap().number::<f64>("--out").unwrap_err(),
+            "--out expects a number, got \"x\""
+        );
         assert_eq!(
             args("t1 --threads").unwrap_err(),
             "--threads requires a value"
@@ -174,9 +187,9 @@ mod tests {
         assert_eq!(
             args("--threads x")
                 .unwrap()
-                .number("--threads")
+                .number::<usize>("--threads")
                 .unwrap_err(),
-            "--threads expects a positive integer, got \"x\""
+            "--threads expects a number, got \"x\""
         );
     }
 }

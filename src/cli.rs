@@ -20,9 +20,10 @@
 //! to the `oraclesize-runtime` pool — `--threads N` changes wall-clock
 //! time only, never the report.
 //!
-//! `trace` streams one run's event trace as deterministic JSONL (to
-//! `--out` or stdout); `trace-diff` compares two such artifacts and
-//! reports the first divergence with node/round context.
+//! `trace` lowers its flags the same way into a one-cell spec and streams
+//! that run's event trace as deterministic JSONL (to `--out` or stdout);
+//! `trace-diff` compares two such artifacts and reports the first
+//! divergence with node/round context.
 //!
 //! `spec` prints a committed experiment's canonical spec JSON; `serve`,
 //! `work`, and `submit` run the same spec distributed across the sweep
@@ -32,6 +33,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use oraclesize_bench::grid::CellGrid;
+use oraclesize_bench::harness::Args;
 use oraclesize_core::broadcast::{LightTreeOracle, SchemeB};
 use oraclesize_core::construction::{
     collect_parent_ports, verify_bfs_tree, verify_mst, BfsTreeOracle, DistributedBfs, MstOracle,
@@ -46,15 +48,16 @@ use oraclesize_core::spanner::{collect_port_sets, verify_spanner, SpannerOracle}
 use oraclesize_core::wakeup::{SpanningTreeOracle, TreeWakeup};
 use oraclesize_core::{execute, OracleRun};
 use oraclesize_graph::families::Family;
+use oraclesize_graph::PortGraph;
 use oraclesize_runtime::spec::to_ppm;
 use oraclesize_runtime::{
     run_supervised_batch, Aggregate, CellSpec, FaultSpec, InstanceSpec, JsonlSink, KnobSpec, Pool,
     SchedulerSpec, SuperviseConfig, SweepOptions, SweepSpec,
 };
 use oraclesize_service::{Server, ServerConfig, WorkerConfig, WorkerOutcome};
-use oraclesize_sim::protocol::{FloodOnce, Protocol};
+use oraclesize_sim::protocol::FloodOnce;
 use oraclesize_sim::trace::diff_lines;
-use oraclesize_sim::{run_streamed, FaultPlan, Instance, SchedulerKind, SimConfig};
+use oraclesize_sim::{run_streamed, SchedulerKind, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -205,9 +208,10 @@ pub struct SubmitArgs {
     pub fresh: bool,
 }
 
-/// Arguments of the `run` subcommand.
+/// The instance and execution flags `run`, `sweep` and `trace` share,
+/// parsed once by [`CommonArgs::parse`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct RunArgs {
+pub struct CommonArgs {
     /// Graph family.
     pub family: Family,
     /// Approximate size.
@@ -216,13 +220,69 @@ pub struct RunArgs {
     pub task: Task,
     /// Source / root node.
     pub source: usize,
-    /// Asynchronous scheduler; `None` = synchronous.
+    /// Asynchronous scheduler; `None` = synchronous. A `random`
+    /// scheduler is seeded with `--seed`.
     pub scheduler: Option<SchedulerKind>,
+    /// RNG seed (graph generation, scheduling, faults).
+    pub seed: u64,
+}
+
+/// The valued flags [`CommonArgs::parse`] reads.
+const COMMON_FLAGS: [&str; 6] = [
+    "--family",
+    "--n",
+    "--task",
+    "--source",
+    "--scheduler",
+    "--seed",
+];
+
+impl CommonArgs {
+    /// Reads the shared flags of subcommand `sub`, whose default size is
+    /// `n`. `--seed` is read first, so a `random` scheduler carries it
+    /// wherever it sat on the command line.
+    fn parse(a: &Args, sub: &str, n: usize) -> Result<CommonArgs, String> {
+        let family = match a.value("--family") {
+            Some(v) => Family::ALL
+                .into_iter()
+                .find(|f| f.name() == v)
+                .ok_or_else(|| format!("unknown family {v:?}"))?,
+            None => Family::RandomSparse,
+        };
+        let task = a
+            .value("--task")
+            .ok_or_else(|| format!("{sub} requires --task"))?;
+        let task = Task::parse(task).ok_or_else(|| format!("unknown task {task:?}"))?;
+        let seed = a.number("--seed")?.unwrap_or(2006);
+        let scheduler = a
+            .value("--scheduler")
+            .map(|kind| {
+                SchedulerSpec {
+                    kind: kind.to_string(),
+                    seed,
+                }
+                .scheduler()
+            })
+            .transpose()?;
+        Ok(CommonArgs {
+            family,
+            n: a.number("--n")?.unwrap_or(n),
+            task,
+            source: a.number("--source")?.unwrap_or(0),
+            scheduler,
+            seed,
+        })
+    }
+}
+
+/// Arguments of the `run` subcommand.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunArgs {
+    /// Family, size, task, source, scheduler and seed.
+    pub common: CommonArgs,
     /// Erase node identities.
     pub anonymous: bool,
-    /// RNG seed (graph generation and random scheduling).
-    pub seed: u64,
-    /// Spanner stretch.
+    /// Spanner stretch (at least 1).
     pub stretch: usize,
 }
 
@@ -230,14 +290,10 @@ pub struct RunArgs {
 /// runs over one shared instance, dispatched to the runtime pool.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepArgs {
-    /// Graph family.
-    pub family: Family,
-    /// Approximate size.
-    pub n: usize,
-    /// Task to sweep (`broadcast`, `wakeup`, or `flood`).
-    pub task: Task,
-    /// Source / root node.
-    pub source: usize,
+    /// Family, size, task (`broadcast`, `wakeup`, or `flood`), source,
+    /// scheduler and seed. A `random` scheduler is re-seeded per cell so
+    /// the cells stay independent.
+    pub common: CommonArgs,
     /// Cells in the grid (one seeded run each).
     pub runs: usize,
     /// Worker threads for dispatch.
@@ -246,13 +302,8 @@ pub struct SweepArgs {
     /// pick a balanced plan. Chunking changes scheduling granularity
     /// only — never the report.
     pub chunk: Option<usize>,
-    /// Asynchronous scheduler; `None` = synchronous. A `random` scheduler
-    /// is re-seeded per cell so the cells stay independent.
-    pub scheduler: Option<SchedulerKind>,
     /// Per-message drop probability (`0.0` = fault-free).
     pub drop: f64,
-    /// RNG seed (graph generation and per-cell derivation).
-    pub seed: u64,
     /// Checkpoint journal path; `None` disables checkpointing.
     pub journal: Option<String>,
     /// Resume from the journal (skip checkpointed cells) instead of
@@ -271,20 +322,11 @@ pub struct SweepArgs {
 /// JSONL through the engine's sink API.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceArgs {
-    /// Graph family.
-    pub family: Family,
-    /// Approximate size.
-    pub n: usize,
-    /// Task to trace (`broadcast`, `wakeup`, or `flood`).
-    pub task: Task,
-    /// Source / root node.
-    pub source: usize,
-    /// Asynchronous scheduler; `None` = synchronous.
-    pub scheduler: Option<SchedulerKind>,
+    /// Family, size, task (`broadcast`, `wakeup`, or `flood`), source,
+    /// scheduler and seed.
+    pub common: CommonArgs,
     /// Per-message drop probability (`0.0` = fault-free).
     pub drop: f64,
-    /// RNG seed (graph generation, scheduling, faults).
-    pub seed: u64,
     /// Write the JSONL here instead of returning it on stdout.
     pub out: Option<String>,
 }
@@ -298,8 +340,49 @@ pub struct TraceDiffArgs {
     pub right: String,
 }
 
-fn parse_family(s: &str) -> Option<Family> {
-    Family::ALL.into_iter().find(|f| f.name() == s)
+/// The default server address of `serve`, `work` and `submit`.
+const DEFAULT_ADDR: &str = "127.0.0.1:7401";
+
+/// Splits a subcommand's arguments with [`Args::parse`], refusing more
+/// than `positional` positional arguments.
+fn parse_flags(
+    args: &[String],
+    switches: &[&str],
+    valued: &[&str],
+    positional: usize,
+) -> Result<Args, String> {
+    let a = Args::parse(args.iter().cloned(), switches, valued)?;
+    match a.positional.get(positional) {
+        Some(extra) => Err(format!("unexpected argument {extra:?}")),
+        None => Ok(a),
+    }
+}
+
+/// [`COMMON_FLAGS`] followed by a subcommand's own valued flags.
+fn with_common<'a>(valued: &[&'a str]) -> Vec<&'a str> {
+    [&COMMON_FLAGS[..], valued].concat()
+}
+
+/// Reads a count flag that must be at least 1 when given.
+fn at_least_one(a: &Args, flag: &str) -> Result<Option<usize>, String> {
+    match a.number(flag)? {
+        Some(0) => Err(format!("{flag} must be at least 1")),
+        v => Ok(v),
+    }
+}
+
+/// Reads the flags `sweep` and `trace` share: the common flags, limited
+/// to the tasks a [`SweepSpec`] names, and `--drop`.
+fn spec_flags(a: &Args, sub: &str, n: usize) -> Result<(CommonArgs, f64), String> {
+    let common = CommonArgs::parse(a, sub, n)?;
+    if spec_task(common.task).is_none() {
+        return Err(format!("{sub} supports --task broadcast, wakeup, or flood"));
+    }
+    let drop = a.number("--drop")?.unwrap_or(0.0);
+    if !(0.0..=1.0).contains(&drop) {
+        return Err("--drop must be within [0, 1]".into());
+    }
+    Ok((common, drop))
 }
 
 /// Parses command-line arguments (without the program name).
@@ -308,421 +391,125 @@ fn parse_family(s: &str) -> Option<Family> {
 ///
 /// A usage message describing the problem.
 pub fn parse_args(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter();
-    match it.next().map(String::as_str) {
-        None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
-        Some("list") => Ok(Command::List),
-        Some("run") => {
-            let mut family = Family::RandomSparse;
-            let mut n = 64usize;
-            let mut task = None;
-            let mut source = 0usize;
-            let mut scheduler = None;
-            let mut anonymous = false;
-            let mut seed = 2006u64;
-            let mut stretch = 3usize;
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<&String, String> {
-                    it.next().ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--family" => {
-                        let v = value("--family")?;
-                        family = parse_family(v).ok_or_else(|| format!("unknown family {v:?}"))?;
-                    }
-                    "--n" => {
-                        n = value("--n")?
-                            .parse()
-                            .map_err(|_| "--n needs an integer".to_string())?;
-                    }
-                    "--task" => {
-                        let v = value("--task")?;
-                        task = Some(Task::parse(v).ok_or_else(|| format!("unknown task {v:?}"))?);
-                    }
-                    "--source" => {
-                        source = value("--source")?
-                            .parse()
-                            .map_err(|_| "--source needs an integer".to_string())?;
-                    }
-                    "--scheduler" => {
-                        let v = value("--scheduler")?;
-                        scheduler = Some(match v.as_str() {
-                            "fifo" => SchedulerKind::Fifo,
-                            "lifo" => SchedulerKind::Lifo,
-                            "random" => SchedulerKind::Random { seed },
-                            "starve" => SchedulerKind::Starve,
-                            other => return Err(format!("unknown scheduler {other:?}")),
-                        });
-                    }
-                    "--anonymous" => anonymous = true,
-                    "--seed" => {
-                        seed = value("--seed")?
-                            .parse()
-                            .map_err(|_| "--seed needs an integer".to_string())?;
-                    }
-                    "--stretch" => {
-                        stretch = value("--stretch")?
-                            .parse()
-                            .map_err(|_| "--stretch needs an integer".to_string())?;
-                    }
-                    other => return Err(format!("unknown flag {other:?}")),
-                }
-            }
-            let task = task.ok_or("run requires --task".to_string())?;
+    let Some((sub, rest)) = args.split_first() else {
+        return Ok(Command::Help);
+    };
+    match sub.as_str() {
+        "help" | "--help" | "-h" => Ok(Command::Help),
+        "list" => Ok(Command::List),
+        "run" => {
+            let a = parse_flags(rest, &["--anonymous"], &with_common(&["--stretch"]), 0)?;
             Ok(Command::Run(RunArgs {
-                family,
-                n,
-                task,
-                source,
-                scheduler,
-                anonymous,
-                seed,
-                stretch,
+                common: CommonArgs::parse(&a, "run", 64)?,
+                anonymous: a.has("--anonymous"),
+                stretch: at_least_one(&a, "--stretch")?.unwrap_or(3),
             }))
         }
-        Some("sweep") => {
-            let mut family = Family::RandomSparse;
-            let mut n = 64usize;
-            let mut task = None;
-            let mut source = 0usize;
-            let mut runs = 16usize;
-            let mut threads = 1usize;
-            let mut chunk = None;
-            let mut scheduler = None;
-            let mut drop = 0.0f64;
-            let mut seed = 2006u64;
-            let mut journal = None;
-            let mut resume = false;
-            let mut max_retries = 0u32;
-            let mut cell_timeout = None;
-            let mut allow_degraded = false;
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<&String, String> {
-                    it.next().ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--family" => {
-                        let v = value("--family")?;
-                        family = parse_family(v).ok_or_else(|| format!("unknown family {v:?}"))?;
-                    }
-                    "--n" => {
-                        n = value("--n")?
-                            .parse()
-                            .map_err(|_| "--n needs an integer".to_string())?;
-                    }
-                    "--task" => {
-                        let v = value("--task")?;
-                        task = Some(Task::parse(v).ok_or_else(|| format!("unknown task {v:?}"))?);
-                    }
-                    "--source" => {
-                        source = value("--source")?
-                            .parse()
-                            .map_err(|_| "--source needs an integer".to_string())?;
-                    }
-                    "--journal" => journal = Some(value("--journal")?.clone()),
-                    "--resume" => resume = true,
-                    "--max-retries" => {
-                        max_retries = value("--max-retries")?
-                            .parse()
-                            .map_err(|_| "--max-retries needs an integer".to_string())?;
-                    }
-                    "--cell-timeout" => {
-                        cell_timeout = Some(
-                            value("--cell-timeout")?
-                                .parse()
-                                .map_err(|_| "--cell-timeout needs a step count".to_string())?,
-                        );
-                    }
-                    "--allow-degraded" => allow_degraded = true,
-                    "--runs" => {
-                        runs = value("--runs")?
-                            .parse()
-                            .map_err(|_| "--runs needs an integer".to_string())?;
-                    }
-                    "--threads" => {
-                        threads = value("--threads")?
-                            .parse()
-                            .map_err(|_| "--threads needs an integer".to_string())?;
-                    }
-                    "--chunk" => {
-                        let v: usize = value("--chunk")?
-                            .parse()
-                            .map_err(|_| "--chunk needs an integer".to_string())?;
-                        if v == 0 {
-                            return Err("--chunk must be at least 1".into());
-                        }
-                        chunk = Some(v);
-                    }
-                    "--scheduler" => {
-                        let v = value("--scheduler")?;
-                        scheduler = Some(match v.as_str() {
-                            "fifo" => SchedulerKind::Fifo,
-                            "lifo" => SchedulerKind::Lifo,
-                            "random" => SchedulerKind::Random { seed },
-                            "starve" => SchedulerKind::Starve,
-                            other => return Err(format!("unknown scheduler {other:?}")),
-                        });
-                    }
-                    "--drop" => {
-                        drop = value("--drop")?
-                            .parse()
-                            .map_err(|_| "--drop needs a probability".to_string())?;
-                        if !(0.0..=1.0).contains(&drop) {
-                            return Err("--drop must be within [0, 1]".into());
-                        }
-                    }
-                    "--seed" => {
-                        seed = value("--seed")?
-                            .parse()
-                            .map_err(|_| "--seed needs an integer".to_string())?;
-                    }
-                    other => return Err(format!("unknown flag {other:?}")),
-                }
-            }
-            let task = task.ok_or("sweep requires --task".to_string())?;
-            if !matches!(task, Task::Broadcast | Task::Wakeup | Task::Flood) {
-                return Err("sweep supports --task broadcast, wakeup, or flood".into());
-            }
-            if runs == 0 {
-                return Err("--runs must be at least 1".into());
-            }
+        "sweep" => {
+            let valued = with_common(&[
+                "--runs",
+                "--threads",
+                "--chunk",
+                "--drop",
+                "--journal",
+                "--max-retries",
+                "--cell-timeout",
+            ]);
+            let a = parse_flags(rest, &["--resume", "--allow-degraded"], &valued, 0)?;
+            let (common, drop) = spec_flags(&a, "sweep", 64)?;
+            let journal = a.value("--journal").map(String::from);
+            let resume = a.has("--resume");
             if resume && journal.is_none() {
                 return Err("--resume requires --journal".into());
             }
             Ok(Command::Sweep(SweepArgs {
-                family,
-                n,
-                task,
-                source,
-                runs,
-                threads,
-                chunk,
-                scheduler,
+                common,
+                runs: at_least_one(&a, "--runs")?.unwrap_or(16),
+                threads: a.number("--threads")?.unwrap_or(1),
+                chunk: at_least_one(&a, "--chunk")?,
                 drop,
-                seed,
                 journal,
                 resume,
-                max_retries,
-                cell_timeout,
-                allow_degraded,
+                max_retries: a.number("--max-retries")?.unwrap_or(0),
+                cell_timeout: a.number("--cell-timeout")?,
+                allow_degraded: a.has("--allow-degraded"),
             }))
         }
-        Some("trace") => {
-            let mut family = Family::RandomSparse;
-            let mut n = 32usize;
-            let mut task = None;
-            let mut source = 0usize;
-            let mut scheduler = None;
-            let mut drop = 0.0f64;
-            let mut seed = 2006u64;
-            let mut out = None;
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<&String, String> {
-                    it.next().ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--family" => {
-                        let v = value("--family")?;
-                        family = parse_family(v).ok_or_else(|| format!("unknown family {v:?}"))?;
-                    }
-                    "--n" => {
-                        n = value("--n")?
-                            .parse()
-                            .map_err(|_| "--n needs an integer".to_string())?;
-                    }
-                    "--task" => {
-                        let v = value("--task")?;
-                        task = Some(Task::parse(v).ok_or_else(|| format!("unknown task {v:?}"))?);
-                    }
-                    "--source" => {
-                        source = value("--source")?
-                            .parse()
-                            .map_err(|_| "--source needs an integer".to_string())?;
-                    }
-                    "--scheduler" => {
-                        let v = value("--scheduler")?;
-                        scheduler = Some(match v.as_str() {
-                            "fifo" => SchedulerKind::Fifo,
-                            "lifo" => SchedulerKind::Lifo,
-                            "random" => SchedulerKind::Random { seed },
-                            "starve" => SchedulerKind::Starve,
-                            other => return Err(format!("unknown scheduler {other:?}")),
-                        });
-                    }
-                    "--drop" => {
-                        drop = value("--drop")?
-                            .parse()
-                            .map_err(|_| "--drop needs a probability".to_string())?;
-                        if !(0.0..=1.0).contains(&drop) {
-                            return Err("--drop must be within [0, 1]".into());
-                        }
-                    }
-                    "--seed" => {
-                        seed = value("--seed")?
-                            .parse()
-                            .map_err(|_| "--seed needs an integer".to_string())?;
-                    }
-                    "--out" => out = Some(value("--out")?.clone()),
-                    other => return Err(format!("unknown flag {other:?}")),
-                }
-            }
-            let task = task.ok_or("trace requires --task".to_string())?;
-            if !matches!(task, Task::Broadcast | Task::Wakeup | Task::Flood) {
-                return Err("trace supports --task broadcast, wakeup, or flood".into());
-            }
+        "trace" => {
+            let a = parse_flags(rest, &[], &with_common(&["--drop", "--out"]), 0)?;
+            let (common, drop) = spec_flags(&a, "trace", 32)?;
             Ok(Command::Trace(TraceArgs {
-                family,
-                n,
-                task,
-                source,
-                scheduler,
+                common,
                 drop,
-                seed,
-                out,
+                out: a.value("--out").map(String::from),
             }))
         }
-        Some("trace-diff") => {
-            let left = it
-                .next()
-                .ok_or("trace-diff needs two JSONL files".to_string())?
-                .clone();
-            let right = it
-                .next()
-                .ok_or("trace-diff needs two JSONL files".to_string())?
-                .clone();
-            if let Some(extra) = it.next() {
-                return Err(format!("unexpected argument {extra:?}"));
-            }
-            Ok(Command::TraceDiff(TraceDiffArgs { left, right }))
+        "trace-diff" => match &parse_flags(rest, &[], &[], 2)?.positional[..] {
+            [left, right] => Ok(Command::TraceDiff(TraceDiffArgs {
+                left: left.clone(),
+                right: right.clone(),
+            })),
+            _ => Err("trace-diff needs two JSONL files".into()),
+        },
+        "spec" => {
+            let a = parse_flags(rest, &["--large"], &[], 1)?;
+            let name = a
+                .positional
+                .first()
+                .ok_or_else(|| format!("spec needs an experiment name ({SPEC_NAMES})"))?;
+            Ok(Command::Spec(SpecArgs {
+                name: name.clone(),
+                large: a.has("--large"),
+            }))
         }
-        Some("spec") => {
-            let name = it
-                .next()
-                .ok_or_else(|| format!("spec needs an experiment name ({SPEC_NAMES})"))?
-                .clone();
-            let mut large = false;
-            for flag in it {
-                match flag.as_str() {
-                    "--large" => large = true,
-                    other => return Err(format!("unknown flag {other:?}")),
-                }
-            }
-            Ok(Command::Spec(SpecArgs { name, large }))
-        }
-        Some("serve") => {
-            let mut addr = "127.0.0.1:7401".to_string();
-            let mut journal_dir = None;
-            let mut jobs = 1usize;
-            let mut workers = 2usize;
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<&String, String> {
-                    it.next().ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--addr" => addr = value("--addr")?.clone(),
-                    "--journal-dir" => journal_dir = Some(value("--journal-dir")?.clone()),
-                    "--jobs" => {
-                        jobs = value("--jobs")?
-                            .parse()
-                            .map_err(|_| "--jobs needs an integer".to_string())?;
-                    }
-                    "--workers" => {
-                        workers = value("--workers")?
-                            .parse()
-                            .map_err(|_| "--workers needs an integer".to_string())?;
-                    }
-                    other => return Err(format!("unknown flag {other:?}")),
-                }
-            }
-            if jobs == 0 {
-                return Err("--jobs must be at least 1".into());
-            }
+        "serve" => {
+            let valued = ["--addr", "--journal-dir", "--jobs", "--workers"];
+            let a = parse_flags(rest, &[], &valued, 0)?;
             Ok(Command::Serve(ServeArgs {
-                addr,
-                journal_dir,
-                jobs,
-                workers,
+                addr: a.value("--addr").unwrap_or(DEFAULT_ADDR).to_string(),
+                journal_dir: a.value("--journal-dir").map(String::from),
+                jobs: at_least_one(&a, "--jobs")?.unwrap_or(1),
+                workers: a.number("--workers")?.unwrap_or(2),
             }))
         }
-        Some("work") => {
-            let mut connect = "127.0.0.1:7401".to_string();
-            let mut threads = 2usize;
-            let mut journal_dir = None;
-            let mut die_mid_shard = None;
-            let mut poll_ms = 50u64;
-            let mut name = "worker".to_string();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<&String, String> {
-                    it.next().ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--connect" => connect = value("--connect")?.clone(),
-                    "--threads" => {
-                        threads = value("--threads")?
-                            .parse()
-                            .map_err(|_| "--threads needs an integer".to_string())?;
-                    }
-                    "--journal-dir" => journal_dir = Some(value("--journal-dir")?.clone()),
-                    "--die-mid-shard" => {
-                        let v: u64 = value("--die-mid-shard")?
-                            .parse()
-                            .map_err(|_| "--die-mid-shard needs an integer".to_string())?;
-                        if v == 0 {
-                            return Err("--die-mid-shard counts claimed shards from 1".into());
-                        }
-                        die_mid_shard = Some(v);
-                    }
-                    "--poll-ms" => {
-                        poll_ms = value("--poll-ms")?
-                            .parse()
-                            .map_err(|_| "--poll-ms needs an integer".to_string())?;
-                    }
-                    "--name" => name = value("--name")?.clone(),
-                    other => return Err(format!("unknown flag {other:?}")),
-                }
-            }
+        "work" => {
+            let valued = [
+                "--connect",
+                "--threads",
+                "--journal-dir",
+                "--die-mid-shard",
+                "--poll-ms",
+                "--name",
+            ];
+            let a = parse_flags(rest, &[], &valued, 0)?;
+            let die_mid_shard = match a.number("--die-mid-shard")? {
+                Some(0) => return Err("--die-mid-shard counts claimed shards from 1".into()),
+                v => v,
+            };
             Ok(Command::Work(WorkArgs {
-                connect,
-                threads,
-                journal_dir,
+                connect: a.value("--connect").unwrap_or(DEFAULT_ADDR).to_string(),
+                threads: a.number("--threads")?.unwrap_or(2),
+                journal_dir: a.value("--journal-dir").map(String::from),
                 die_mid_shard,
-                poll_ms,
-                name,
+                poll_ms: a.number("--poll-ms")?.unwrap_or(50),
+                name: a.value("--name").unwrap_or("worker").to_string(),
             }))
         }
-        Some("submit") => {
-            let mut connect = "127.0.0.1:7401".to_string();
-            let mut spec = None;
-            let mut out = None;
-            let mut poll_ms = 100u64;
-            let mut fresh = false;
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<&String, String> {
-                    it.next().ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--connect" => connect = value("--connect")?.clone(),
-                    "--spec" => spec = Some(value("--spec")?.clone()),
-                    "--out" => out = Some(value("--out")?.clone()),
-                    "--poll-ms" => {
-                        poll_ms = value("--poll-ms")?
-                            .parse()
-                            .map_err(|_| "--poll-ms needs an integer".to_string())?;
-                    }
-                    "--fresh" => fresh = true,
-                    other => return Err(format!("unknown flag {other:?}")),
-                }
-            }
-            let spec = spec.ok_or("submit requires --spec".to_string())?;
+        "submit" => {
+            let valued = ["--connect", "--spec", "--out", "--poll-ms"];
+            let a = parse_flags(rest, &["--fresh"], &valued, 0)?;
             Ok(Command::Submit(SubmitArgs {
-                connect,
-                spec,
-                out,
-                poll_ms,
-                fresh,
+                connect: a.value("--connect").unwrap_or(DEFAULT_ADDR).to_string(),
+                spec: a
+                    .value("--spec")
+                    .ok_or("submit requires --spec")?
+                    .to_string(),
+                out: a.value("--out").map(String::from),
+                poll_ms: a.number("--poll-ms")?.unwrap_or(100),
+                fresh: a.has("--fresh"),
             }))
         }
-        Some(other) => Err(format!("unknown subcommand {other:?}")),
+        other => Err(format!("unknown subcommand {other:?}")),
     }
 }
 
@@ -863,50 +650,71 @@ fn run_submit(args: &SubmitArgs) -> Result<String, String> {
     let artifact = oraclesize_service::submit(&args.connect, &text, !args.fresh, args.poll_ms)?;
     match &args.out {
         Some(path) => {
-            if let Some(dir) = std::path::Path::new(path)
-                .parent()
-                .filter(|d| !d.as_os_str().is_empty())
-            {
-                std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
-            }
-            std::fs::write(path, &artifact).map_err(|e| format!("cannot write {path:?}: {e}"))?;
+            write_output(path, artifact.as_bytes())?;
             Ok(format!("wrote:        {path} ({} bytes)\n", artifact.len()))
         }
         None => Ok(artifact),
     }
 }
 
+/// Writes an artifact to `path`, creating its parent directory first.
+fn write_output(path: &str, bytes: &[u8]) -> Result<(), String> {
+    if let Some(dir) = std::path::Path::new(path)
+        .parent()
+        .filter(|d| !d.as_os_str().is_empty())
+    {
+        std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
+    }
+    std::fs::write(path, bytes).map_err(|e| format!("cannot write {path:?}: {e}"))
+}
+
+/// The report line naming the graph a command ran on.
+fn graph_line(out: &mut String, family: Family, g: &PortGraph) {
+    let _ = writeln!(
+        out,
+        "graph:        {} (n = {}, m = {})",
+        family.name(),
+        g.num_nodes(),
+        g.num_edges()
+    );
+}
+
+/// The verdict of a dissemination run.
+fn informed(all: bool) -> &'static str {
+    if all {
+        "all informed"
+    } else {
+        "INCOMPLETE"
+    }
+}
+
 fn run_task(args: &RunArgs) -> Result<String, String> {
-    if args.task == Task::HsElection && args.family != Family::Cycle {
+    let c = &args.common;
+    if c.task == Task::HsElection && c.family != Family::Cycle {
         return Err("hs-election requires --family cycle".into());
     }
-    let mut rng = StdRng::seed_from_u64(args.seed);
-    let g = args.family.build(args.n, &mut rng);
-    if args.source >= g.num_nodes() {
+    let mut rng = StdRng::seed_from_u64(c.seed);
+    let g = c.family.build(c.n, &mut rng);
+    if c.source >= g.num_nodes() {
         return Err(format!(
             "--source {} out of range (graph has {} nodes)",
-            args.source,
+            c.source,
             g.num_nodes()
         ));
     }
-    let base = if matches!(args.task, Task::Wakeup) {
+    let base = if matches!(c.task, Task::Wakeup) {
         SimConfig::wakeup()
     } else {
         SimConfig::broadcast()
     };
-    let config = match args.scheduler {
-        // `--seed` wins regardless of where it sat relative to
-        // `--scheduler random` in the argument list.
-        Some(SchedulerKind::Random { .. }) => {
-            base.with_scheduler(SchedulerKind::Random { seed: args.seed })
-        }
+    let config = match c.scheduler {
         Some(kind) => base.with_scheduler(kind),
         None => base,
     }
     .with_anonymous(args.anonymous);
     if args.anonymous
         && matches!(
-            args.task,
+            c.task,
             Task::Gossip | Task::Election | Task::FloodMax | Task::HsElection
         )
     {
@@ -916,36 +724,18 @@ fn run_task(args: &RunArgs) -> Result<String, String> {
     let exec = |oracle: &dyn oraclesize_sim::Oracle,
                 protocol: &dyn oraclesize_sim::Protocol|
      -> Result<OracleRun, String> {
-        execute(&g, args.source, oracle, protocol, &config).map_err(|e| e.to_string())
+        execute(&g, c.source, oracle, protocol, &config).map_err(|e| e.to_string())
     };
 
-    let (run, verification) = match args.task {
-        Task::Broadcast => {
-            let r = exec(&LightTreeOracle, &SchemeB)?;
-            let v = if r.outcome.all_informed() {
-                "all informed"
-            } else {
-                "INCOMPLETE"
+    let (run, verification) = match c.task {
+        Task::Broadcast | Task::Wakeup | Task::Flood => {
+            let r = match c.task {
+                Task::Broadcast => exec(&LightTreeOracle, &SchemeB)?,
+                Task::Wakeup => exec(&SpanningTreeOracle::default(), &TreeWakeup)?,
+                _ => exec(&EmptyOracle, &FloodOnce)?,
             };
-            (r, v.to_string())
-        }
-        Task::Wakeup => {
-            let r = exec(&SpanningTreeOracle::default(), &TreeWakeup)?;
-            let v = if r.outcome.all_informed() {
-                "all informed"
-            } else {
-                "INCOMPLETE"
-            };
-            (r, v.to_string())
-        }
-        Task::Flood => {
-            let r = exec(&EmptyOracle, &FloodOnce)?;
-            let v = if r.outcome.all_informed() {
-                "all informed"
-            } else {
-                "INCOMPLETE"
-            };
-            (r, v.to_string())
+            let v = informed(r.outcome.all_informed()).to_string();
+            (r, v)
         }
         Task::Gossip => {
             let r = exec(&GossipOracle::default(), &TreeGossip)?;
@@ -980,22 +770,22 @@ fn run_task(args: &RunArgs) -> Result<String, String> {
             let r = exec(&BfsTreeOracle, &ZeroMessageTree)?;
             let ports =
                 collect_parent_ports(&r.outcome.outputs).ok_or("outputs failed to decode")?;
-            verify_bfs_tree(&g, args.source, &ports)?;
+            verify_bfs_tree(&g, c.source, &ports)?;
             (r, "verified BFS tree".to_string())
         }
         Task::Mst => {
             let r = exec(&MstOracle, &ZeroMessageTree)?;
             let ports =
                 collect_parent_ports(&r.outcome.outputs).ok_or("outputs failed to decode")?;
-            verify_mst(&g, args.source, &ports)?;
+            verify_mst(&g, c.source, &ports)?;
             (r, "verified minimum spanning tree".to_string())
         }
         Task::DistBfs => {
             let r = exec(&EmptyOracle, &DistributedBfs)?;
             let ports =
                 collect_parent_ports(&r.outcome.outputs).ok_or("outputs failed to decode")?;
-            let v = if args.scheduler.is_none() {
-                verify_bfs_tree(&g, args.source, &ports)?;
+            let v = if c.scheduler.is_none() {
+                verify_bfs_tree(&g, c.source, &ports)?;
                 "verified BFS tree".to_string()
             } else {
                 "spanning tree (async: BFS property not guaranteed)".to_string()
@@ -1003,9 +793,9 @@ fn run_task(args: &RunArgs) -> Result<String, String> {
             (r, v)
         }
         Task::Spanner => {
-            let r = exec(&SpannerOracle::new(args.stretch.max(1)), &ZeroMessageTree)?;
+            let r = exec(&SpannerOracle::new(args.stretch), &ZeroMessageTree)?;
             let sets = collect_port_sets(&r.outcome.outputs).ok_or("outputs failed to decode")?;
-            let edges = verify_spanner(&g, &sets, args.stretch.max(1))?;
+            let edges = verify_spanner(&g, &sets, args.stretch)?;
             (
                 r,
                 format!("verified {}-spanner with {edges} edges", args.stretch),
@@ -1014,17 +804,11 @@ fn run_task(args: &RunArgs) -> Result<String, String> {
     };
 
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "graph:        {} (n = {}, m = {})",
-        args.family.name(),
-        g.num_nodes(),
-        g.num_edges()
-    );
+    graph_line(&mut out, c.family, &g);
     let _ = writeln!(
         out,
         "execution:    {}{}",
-        args.scheduler.map_or("synchronous", |k| k.name()),
+        c.scheduler.map_or("synchronous", |k| k.name()),
         if args.anonymous { ", anonymous" } else { "" }
     );
     let _ = writeln!(out, "oracle bits:  {}", run.oracle_bits);
@@ -1035,50 +819,55 @@ fn run_task(args: &RunArgs) -> Result<String, String> {
     Ok(out)
 }
 
-/// Lowers the sweep flags into the runtime's canonical [`SweepSpec`] —
-/// the same job description the bench grids and the sweep service
-/// consume, so a CLI sweep can be replayed (or distributed) verbatim.
-/// One instance, one cell per seeded run; a `random` scheduler and any
-/// fault plan are re-seeded per cell so the cells stay independent.
-pub fn sweep_spec(args: &SweepArgs) -> Result<SweepSpec, String> {
-    let (task, oracle, scheme, mode) = match args.task {
-        Task::Broadcast => ("broadcast", "light-tree", "scheme-b", "broadcast"),
-        Task::Wakeup => ("wakeup", "spanning-tree", "tree-wakeup", "wakeup"),
-        Task::Flood => ("flood", "empty", "flood", "broadcast"),
-        _ => return Err("sweep supports --task broadcast, wakeup, or flood".into()),
-    };
-    let mut spec = SweepSpec::new(format!("sweep-{task}"), args.seed);
+/// The spec names `(task, oracle, scheme, mode)` of the tasks a
+/// [`SweepSpec`] can express; `None` for the rest, which only `run`
+/// executes.
+fn spec_task(task: Task) -> Option<(&'static str, &'static str, &'static str, &'static str)> {
+    match task {
+        Task::Broadcast => Some(("broadcast", "light-tree", "scheme-b", "broadcast")),
+        Task::Wakeup => Some(("wakeup", "spanning-tree", "tree-wakeup", "wakeup")),
+        Task::Flood => Some(("flood", "empty", "flood", "broadcast")),
+        _ => None,
+    }
+}
+
+/// Lowers the shared flags into a [`SweepSpec`] with one instance and one
+/// cell per `(label, seed)`. A `random` scheduler and any fault plan take
+/// the cell's seed, so the cells stay independent yet reproducible.
+fn lower(
+    common: &CommonArgs,
+    drop: f64,
+    cells: impl IntoIterator<Item = (String, u64)>,
+) -> Result<SweepSpec, String> {
+    let (task, oracle, scheme, mode) =
+        spec_task(common.task).ok_or("only broadcast, wakeup, and flood lower to a spec")?;
+    let mut spec = SweepSpec::new(format!("sweep-{task}"), common.seed);
     spec.instances.push(InstanceSpec {
-        family: args.family.name().to_string(),
-        n: args.n as u64,
-        seed: args.seed,
+        family: common.family.name().to_string(),
+        n: common.n as u64,
+        seed: common.seed,
         p_ppm: None,
-        source: args.source as u64,
+        source: common.source as u64,
         oracle: oracle.to_string(),
     });
-    for k in 0..args.runs {
-        let cell_seed = args.seed.wrapping_add(k as u64 + 1);
-        let scheduler = match args.scheduler {
-            // Re-seed per cell so the cells sample different delivery
-            // orders while staying reproducible.
-            Some(SchedulerKind::Random { .. }) => Some(SchedulerSpec {
-                kind: "random".to_string(),
-                seed: cell_seed,
-            }),
-            Some(kind) => Some(SchedulerSpec::of(kind)),
-            None => None,
-        };
-        let faults = if args.drop > 0.0 {
+    for (label, seed) in cells {
+        let scheduler = common.scheduler.map(|kind| {
+            SchedulerSpec::of(match kind {
+                SchedulerKind::Random { .. } => SchedulerKind::Random { seed },
+                kind => kind,
+            })
+        });
+        let faults = if drop > 0.0 {
             FaultSpec {
-                seed: cell_seed,
-                drop_ppm: to_ppm(args.drop),
+                seed,
+                drop_ppm: to_ppm(drop),
                 ..FaultSpec::default()
             }
         } else {
             FaultSpec::default()
         };
         spec.cells.push(CellSpec {
-            label: format!("run-{k}"),
+            label,
             instance: 0,
             scheme: scheme.to_string(),
             retries: None,
@@ -1086,11 +875,23 @@ pub fn sweep_spec(args: &SweepArgs) -> Result<SweepSpec, String> {
             scheduler,
             anonymous: false,
             max_message_bits: None,
-            quiescence_polls: (args.drop > 0.0).then_some(16),
-            seed: cell_seed,
+            quiescence_polls: (drop > 0.0).then_some(16),
+            seed,
             faults,
         });
     }
+    Ok(spec)
+}
+
+/// Lowers the sweep flags into the runtime's canonical [`SweepSpec`] —
+/// the same job description the bench grids and the sweep service
+/// consume, so a CLI sweep can be replayed (or distributed) verbatim.
+/// One instance, one cell per seeded run; cell `k` has seed
+/// `--seed + k + 1`.
+pub fn sweep_spec(args: &SweepArgs) -> Result<SweepSpec, String> {
+    let seed = args.common.seed;
+    let cells = (0..args.runs).map(|k| (format!("run-{k}"), seed.wrapping_add(k as u64 + 1)));
+    let mut spec = lower(&args.common, args.drop, cells)?;
     spec.knobs = KnobSpec {
         max_retries: u64::from(args.max_retries),
         cell_timeout: args.cell_timeout,
@@ -1143,13 +944,7 @@ fn run_sweep(args: &SweepArgs) -> Result<(String, bool), String> {
 
     let cells = agg.cells;
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "graph:        {} (n = {}, m = {})",
-        args.family.name(),
-        g.num_nodes(),
-        g.num_edges()
-    );
+    graph_line(&mut out, args.common.family, &g);
     let _ = writeln!(
         out,
         "sweep:        {} cells, {} thread(s), drop = {:.2}",
@@ -1160,7 +955,7 @@ fn run_sweep(args: &SweepArgs) -> Result<(String, bool), String> {
     let _ = writeln!(
         out,
         "execution:    {}",
-        args.scheduler.map_or("synchronous", |k| k.name())
+        args.common.scheduler.map_or("synchronous", |k| k.name())
     );
     let _ = writeln!(out, "oracle bits:  {}", agg.oracle_bits / cells);
     let _ = writeln!(out, "completed:    {}/{}", agg.completed, cells);
@@ -1196,88 +991,36 @@ fn run_sweep(args: &SweepArgs) -> Result<(String, bool), String> {
     let healthy = !sweep.any_degraded() && agg.completed == cells;
     Ok((out, healthy || args.allow_degraded))
 }
-
-/// Builds the task's instance once, then streams a single fully-traced run
-/// through a JSONL sink — events are rendered as they are emitted, never
-/// accumulated, and the bytes are identical on every machine for the same
-/// arguments.
+/// Lowers the flags into a one-cell [`SweepSpec`] (cell seed `--seed`),
+/// materializes it with [`CellGrid::from_spec`] like `sweep`, and streams
+/// the cell's fully-traced run through a JSONL sink — events are rendered
+/// as they are emitted, never accumulated, and the bytes are identical on
+/// every machine for the same arguments.
 fn run_trace(args: &TraceArgs) -> Result<String, String> {
-    let mut rng = StdRng::seed_from_u64(args.seed);
-    let g = args.family.build(args.n, &mut rng).into_shared();
-    if args.source >= g.num_nodes() {
-        return Err(format!(
-            "--source {} out of range (graph has {} nodes)",
-            args.source,
-            g.num_nodes()
-        ));
-    }
-    let (instance, protocol): (Arc<Instance>, Arc<dyn Protocol + Send + Sync>) = match args.task {
-        Task::Broadcast => (
-            Instance::build(Arc::clone(&g), args.source, &LightTreeOracle),
-            Arc::new(SchemeB),
-        ),
-        Task::Wakeup => (
-            Instance::build(Arc::clone(&g), args.source, &SpanningTreeOracle::default()),
-            Arc::new(TreeWakeup),
-        ),
-        Task::Flood => (
-            Instance::build(Arc::clone(&g), args.source, &EmptyOracle),
-            Arc::new(FloodOnce),
-        ),
-        _ => return Err("trace supports --task broadcast, wakeup, or flood".into()),
-    };
-    let base = if args.task == Task::Wakeup {
-        SimConfig::wakeup()
-    } else {
-        SimConfig::broadcast()
-    };
-    // `--seed` is authoritative even when it appears after `--scheduler
-    // random` on the command line.
-    let mut config = match args.scheduler {
-        Some(SchedulerKind::Random { .. }) => {
-            base.with_scheduler(SchedulerKind::Random { seed: args.seed })
-        }
-        Some(kind) => base.with_scheduler(kind),
-        None => base,
-    };
-    if args.drop > 0.0 {
-        config = config
-            .with_faults(FaultPlan::message_faults(args.seed, args.drop, 0.0, 0.0))
-            .with_quiescence_polls(16);
-    }
-
+    let cell = [("trace".to_string(), args.common.seed)];
+    let grid = CellGrid::from_spec(&lower(&args.common, args.drop, cell)?)?;
+    let request = &grid.requests()[0];
     let mut sink = JsonlSink::new(0);
-    let outcome = run_streamed(&instance, protocol.as_ref(), &config, &mut sink)
-        .map_err(|e| e.to_string())?;
+    let outcome = run_streamed(
+        &request.instance,
+        request.protocol.as_ref(),
+        &request.config,
+        &mut sink,
+    )
+    .map_err(|e| e.to_string())?;
     let events = sink.len();
     let jsonl = sink.into_string();
-    match &args.out {
-        Some(path) => {
-            std::fs::write(path, &jsonl).map_err(|e| format!("cannot write {path:?}: {e}"))?;
-            let mut out = String::new();
-            let _ = writeln!(out, "wrote:        {path} ({events} events)");
-            let _ = writeln!(
-                out,
-                "graph:        {} (n = {}, m = {})",
-                args.family.name(),
-                g.num_nodes(),
-                g.num_edges()
-            );
-            let _ = writeln!(out, "messages:     {}", outcome.metrics.messages);
-            let _ = writeln!(out, "rounds:       {}", outcome.metrics.rounds);
-            let _ = writeln!(
-                out,
-                "result:       {}",
-                if outcome.all_informed() {
-                    "all informed"
-                } else {
-                    "INCOMPLETE"
-                }
-            );
-            Ok(out)
-        }
-        None => Ok(jsonl),
-    }
+    let Some(path) = &args.out else {
+        return Ok(jsonl);
+    };
+    write_output(path, jsonl.as_bytes())?;
+    let mut out = String::new();
+    let _ = writeln!(out, "wrote:        {path} ({events} events)");
+    graph_line(&mut out, args.common.family, &request.instance.graph);
+    let _ = writeln!(out, "messages:     {}", outcome.metrics.messages);
+    let _ = writeln!(out, "rounds:       {}", outcome.metrics.rounds);
+    let _ = writeln!(out, "result:       {}", informed(outcome.all_informed()));
+    Ok(out)
 }
 
 /// Compares two JSONL trace artifacts line by line and reports either
@@ -1331,12 +1074,12 @@ mod tests {
         let Command::Run(a) = cmd else {
             panic!("not run")
         };
-        assert_eq!(a.task, Task::Broadcast);
-        assert_eq!(a.family, Family::Complete);
-        assert_eq!(a.n, 32);
-        assert_eq!(a.scheduler, Some(SchedulerKind::Lifo));
+        assert_eq!(a.common.task, Task::Broadcast);
+        assert_eq!(a.common.family, Family::Complete);
+        assert_eq!(a.common.n, 32);
+        assert_eq!(a.common.scheduler, Some(SchedulerKind::Lifo));
         assert!(a.anonymous);
-        assert_eq!(a.seed, 7);
+        assert_eq!(a.common.seed, 7);
     }
 
     #[test]
@@ -1346,6 +1089,13 @@ mod tests {
         assert!(parse_args(&args(&["run", "--task", "wakeup", "--family", "nope"])).is_err());
         assert!(parse_args(&args(&["run", "--task", "wakeup", "--n"])).is_err());
         assert!(parse_args(&args(&["run", "--task", "wakeup", "--wat"])).is_err());
+        // A 0-spanner does not exist; `run` never verifies a different t.
+        let err = parse_args(&args(&["run", "--task", "spanner", "--stretch", "0"])).unwrap_err();
+        assert_eq!(err, "--stretch must be at least 1");
+        // `run`, `sweep` and `trace` take no positional arguments.
+        for sub in ["run", "sweep", "trace"] {
+            assert!(parse_args(&args(&[sub, "--task", "flood", "stray"])).is_err());
+        }
     }
 
     #[test]
@@ -1421,7 +1171,7 @@ mod tests {
         let Command::Run(ref a) = cmd else {
             panic!("not run")
         };
-        assert_eq!(a.scheduler, Some(SchedulerKind::Starve));
+        assert_eq!(a.common.scheduler, Some(SchedulerKind::Starve));
         let report = run_command(&cmd).unwrap();
         assert!(report.contains("all informed"));
     }
@@ -1459,13 +1209,13 @@ mod tests {
         let Command::Sweep(a) = cmd else {
             panic!("not sweep")
         };
-        assert_eq!(a.task, Task::Flood);
-        assert_eq!(a.family, Family::Cycle);
+        assert_eq!(a.common.task, Task::Flood);
+        assert_eq!(a.common.family, Family::Cycle);
         assert_eq!(a.runs, 8);
         assert_eq!(a.threads, 3);
         assert_eq!(a.chunk, Some(4));
         assert_eq!(a.drop, 0.25);
-        assert_eq!(a.seed, 11);
+        assert_eq!(a.common.seed, 11);
         assert_eq!(a.journal.as_deref(), Some("ckpt.journal"));
         assert!(a.resume);
         assert_eq!(a.max_retries, 2);
@@ -1687,6 +1437,14 @@ mod tests {
         assert!(parse_args(&args(&["work", "--die-mid-shard", "0"])).is_err());
         assert!(parse_args(&args(&["submit"])).is_err()); // no spec
         assert!(parse_args(&args(&["spec"])).is_err()); // no name
+        assert!(parse_args(&args(&["spec", "t10", "scale"])).is_err());
+        for argv in [
+            &["serve", "stray"][..],
+            &["work", "stray"],
+            &["submit", "--spec", "t10.json", "stray"],
+        ] {
+            assert!(parse_args(&args(argv)).is_err(), "{argv:?}");
+        }
         let err = run_command(&parse_args(&args(&["spec", "t99"])).unwrap()).unwrap_err();
         assert!(err.contains("unknown spec"), "{err}");
     }
@@ -1828,12 +1586,12 @@ mod tests {
         let Command::Trace(a) = cmd else {
             panic!("not trace")
         };
-        assert_eq!(a.task, Task::Flood);
-        assert_eq!(a.family, Family::Torus);
-        assert_eq!(a.n, 16);
-        assert_eq!(a.scheduler, Some(SchedulerKind::Lifo));
+        assert_eq!(a.common.task, Task::Flood);
+        assert_eq!(a.common.family, Family::Torus);
+        assert_eq!(a.common.n, 16);
+        assert_eq!(a.common.scheduler, Some(SchedulerKind::Lifo));
         assert_eq!(a.drop, 0.1);
-        assert_eq!(a.seed, 5);
+        assert_eq!(a.common.seed, 5);
         assert_eq!(a.out.as_deref(), Some("t.jsonl"));
     }
 
@@ -1872,11 +1630,87 @@ mod tests {
         assert_eq!(jsonl, run());
     }
 
+    /// `trace` as it was before it lowered through a spec: the graph,
+    /// instance and fault plan built by hand, kept as a reference.
+    fn reference_trace(
+        task: Task,
+        scheduler: Option<SchedulerKind>,
+        drop: f64,
+        seed: u64,
+    ) -> String {
+        use oraclesize_sim::protocol::Protocol;
+        use oraclesize_sim::{FaultPlan, Instance};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = Family::Hypercube.build(16, &mut rng).into_shared();
+        let (instance, protocol): (Arc<Instance>, Arc<dyn Protocol + Send + Sync>) = match task {
+            Task::Broadcast => (Instance::build(g, 0, &LightTreeOracle), Arc::new(SchemeB)),
+            Task::Wakeup => (
+                Instance::build(g, 0, &SpanningTreeOracle::default()),
+                Arc::new(TreeWakeup),
+            ),
+            _ => (Instance::build(g, 0, &EmptyOracle), Arc::new(FloodOnce)),
+        };
+        let mut config = if task == Task::Wakeup {
+            SimConfig::wakeup()
+        } else {
+            SimConfig::broadcast()
+        };
+        if let Some(kind) = scheduler {
+            config = config.with_scheduler(kind);
+        }
+        if drop > 0.0 {
+            config = config
+                .with_faults(FaultPlan::message_faults(seed, drop, 0.0, 0.0))
+                .with_quiescence_polls(16);
+        }
+        let mut sink = JsonlSink::new(0);
+        run_streamed(&instance, protocol.as_ref(), &config, &mut sink).unwrap();
+        sink.into_string()
+    }
+
+    #[test]
+    fn trace_lowering_matches_hand_built_reference() {
+        let random = Some(SchedulerKind::Random { seed: 9 });
+        let variants: [(&[&str], Option<SchedulerKind>, f64, u64); 4] = [
+            (&[], None, 0.0, 2006),
+            (&["--scheduler", "random", "--seed", "9"], random, 0.0, 9),
+            (&["--seed", "9", "--scheduler", "random"], random, 0.0, 9),
+            (
+                &["--scheduler", "lifo", "--drop", "0.25"],
+                Some(SchedulerKind::Lifo),
+                0.25,
+                2006,
+            ),
+        ];
+        for task in ["broadcast", "wakeup", "flood"] {
+            for (flags, scheduler, drop, seed) in variants {
+                let mut argv = vec![
+                    "trace",
+                    "--task",
+                    task,
+                    "--family",
+                    "hypercube",
+                    "--n",
+                    "16",
+                ];
+                argv.extend_from_slice(flags);
+                let jsonl = run_command(&parse_args(&args(&argv)).unwrap()).unwrap();
+                let task = Task::parse(task).unwrap();
+                assert_eq!(
+                    jsonl,
+                    reference_trace(task, scheduler, drop, seed),
+                    "{argv:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn trace_out_writes_artifact_and_diff_reads_it() {
-        let dir = std::env::temp_dir().join("oraclesize-cli-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let left = dir.join("left.jsonl");
+        let dir = std::env::temp_dir().join(format!("oraclesize-cli-trace-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        // `--out` creates missing parent directories, like `submit --out`.
+        let left = dir.join("nested/left.jsonl");
         let right = dir.join("right.jsonl");
         let write = |path: &std::path::Path, seed: &str| {
             let cmd = parse_args(&args(&[
