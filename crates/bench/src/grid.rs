@@ -232,20 +232,35 @@ impl CellGrid {
 /// Builds a named graph family. Beyond [`Family::ALL`] two spec-only
 /// names exist: `"random-connected"` (takes `p_ppm`) and
 /// `"subdivided-clique"` (every edge of `K*_n` subdivided, no RNG) — the
-/// constructions T10/T20 and the SCALE curve sweep.
+/// constructions T10/T20 and the SCALE curve sweep. A size or edge
+/// probability the family is not defined for is an error, not a panic.
 fn build_family(
     family: &str,
     n: usize,
     seed: u64,
     p_ppm: Option<u64>,
 ) -> Result<PortGraph, String> {
+    let min_n = |k: usize| {
+        if n < k {
+            Err(format!("n: family {family:?} needs n >= {k}, got {n}"))
+        } else {
+            Ok(())
+        }
+    };
     if let Some(fam) = Family::ALL.iter().find(|f| f.name() == family) {
+        min_n(Family::MIN_NODES)?;
         return Ok(fam.build(n, &mut StdRng::seed_from_u64(seed)));
     }
     match family {
         "random-connected" => {
             let p = p_ppm
                 .ok_or_else(|| "p_ppm: required by family \"random-connected\"".to_string())?;
+            if p > 1_000_000 {
+                return Err(format!(
+                    "p_ppm: family {family:?} needs p_ppm <= 1000000, got {p}"
+                ));
+            }
+            min_n(1)?;
             Ok(families::random_connected(
                 n,
                 from_ppm(p),
@@ -253,6 +268,7 @@ fn build_family(
             ))
         }
         "subdivided-clique" => {
+            min_n(2)?;
             let base = families::complete_rotational(n);
             let edges: Vec<_> = base.edges().collect();
             Ok(gadgets::subdivide_edges(&base, &edges))
@@ -384,6 +400,39 @@ mod tests {
             err,
             "cells[0].retries: required by scheme \"retry-broadcast\""
         );
+    }
+
+    #[test]
+    fn from_spec_rejects_sizes_and_probabilities_a_family_cannot_build() {
+        let cases = [
+            ("path", 3, None, "n: family \"path\" needs n >= 4, got 3"),
+            (
+                "subdivided-clique",
+                1,
+                None,
+                "n: family \"subdivided-clique\" needs n >= 2, got 1",
+            ),
+            (
+                "random-connected",
+                0,
+                Some(500_000),
+                "n: family \"random-connected\" needs n >= 1, got 0",
+            ),
+            (
+                "random-connected",
+                8,
+                Some(2_000_000),
+                "p_ppm: family \"random-connected\" needs p_ppm <= 1000000, got 2000000",
+            ),
+        ];
+        for (family, n, p_ppm, want) in cases {
+            let mut spec = tiny_spec();
+            spec.instances[0].family = family.to_string();
+            spec.instances[0].n = n;
+            spec.instances[0].p_ppm = p_ppm;
+            let err = CellGrid::from_spec(&spec).map(|_| ()).unwrap_err();
+            assert_eq!(err, format!("instances[0].{want}"));
+        }
     }
 
     #[test]

@@ -172,36 +172,6 @@ impl BitString {
     pub fn packed_bytes(&self) -> usize {
         self.bytes.len()
     }
-
-    /// The packed LSB-first byte buffer: bit `i` lives in byte `i / 8` at
-    /// position `i % 8`. Bits at positions `≥ len` are zero.
-    pub fn as_packed_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Builds a bit string from a packed LSB-first byte buffer and an exact
-    /// bit count — the inverse of [`as_packed_bytes`](Self::as_packed_bytes)
-    /// plus [`len`](Self::len). Surplus trailing bytes and bits beyond `len`
-    /// are discarded, preserving the invariant that unused tail bits are
-    /// zero (equality and hashing depend on it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` holds fewer than `len` bits.
-    pub fn from_packed(mut bytes: Vec<u8>, len: usize) -> Self {
-        assert!(
-            len <= bytes.len() * 8,
-            "{len} bits do not fit in {} bytes",
-            bytes.len()
-        );
-        bytes.truncate(len.div_ceil(8));
-        if !len.is_multiple_of(8) {
-            if let Some(last) = bytes.last_mut() {
-                *last &= (1u8 << (len % 8)) - 1;
-            }
-        }
-        BitString { bytes, len }
-    }
 }
 
 impl fmt::Debug for BitString {

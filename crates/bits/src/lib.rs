@@ -28,7 +28,6 @@
 
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod bitset;
 pub mod bitstring;
 pub mod codec;
@@ -36,7 +35,6 @@ pub mod lists;
 pub mod numeric;
 pub mod reader;
 
-pub use arena::BitArena;
 pub use bitset::BitSet;
 pub use bitstring::BitString;
 pub use numeric::{bits_to_represent, ceil_log2};

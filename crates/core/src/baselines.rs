@@ -173,7 +173,7 @@ impl NodeBehavior for MapWakeupState {
 
 impl Protocol for MapWakeup {
     fn create(&self, view: NodeView) -> Box<dyn NodeBehavior> {
-        let child_ports = decode_full_map(&view.advice)
+        let child_ports = decode_full_map(view.advice)
             .map(|map| {
                 let all = map_bfs_child_ports(&map);
                 all[map.own_index].clone()

@@ -126,7 +126,7 @@ impl Protocol for SchemeB {
         // Advice decodes to the list of this node's tree-edge ports.
         // Malformed advice degrades to an adviceless node: still a legal
         // broadcast scheme, possibly incomplete.
-        let ports: BTreeSet<Port> = decode_weight_list(&view.advice)
+        let ports: BTreeSet<Port> = decode_weight_list(view.advice)
             .unwrap_or_default()
             .into_iter()
             .filter(|&w| (w as usize) < view.degree)
@@ -184,7 +184,7 @@ impl NodeBehavior for NoReflushState {
 
 impl Protocol for SchemeBNoReflush {
     fn create(&self, view: NodeView) -> Box<dyn NodeBehavior> {
-        let ports: BTreeSet<Port> = decode_weight_list(&view.advice)
+        let ports: BTreeSet<Port> = decode_weight_list(view.advice)
             .unwrap_or_default()
             .into_iter()
             .filter(|&w| (w as usize) < view.degree)

@@ -221,7 +221,7 @@ impl NodeBehavior for ZeroMessageState {
 impl Protocol for ZeroMessageTree {
     fn create(&self, view: NodeView) -> Box<dyn NodeBehavior> {
         Box::new(ZeroMessageState {
-            advice: view.advice,
+            advice: view.advice.clone(),
         })
     }
 

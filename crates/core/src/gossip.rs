@@ -216,7 +216,7 @@ impl NodeBehavior for TreeGossipState {
 
 impl Protocol for TreeGossip {
     fn create(&self, view: NodeView) -> Box<dyn NodeBehavior> {
-        let advice = decode_tree_advice(&view.advice).unwrap_or_default();
+        let advice = decode_tree_advice(view.advice).unwrap_or_default();
         let own = view.id.expect("gossip requires the labeled model");
         Box::new(TreeGossipState {
             parent_port: advice.parent_port,

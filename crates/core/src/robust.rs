@@ -175,7 +175,7 @@ impl NodeBehavior for RobustWakeupState {
 impl Protocol for RobustTreeWakeup {
     fn create(&self, view: NodeView) -> Box<dyn NodeBehavior> {
         Box::new(RobustWakeupState {
-            plan: validate_advice(&view.advice, view.degree),
+            plan: validate_advice(view.advice, view.degree),
             degree: view.degree,
             is_source: view.is_source,
             fired: false,
@@ -278,7 +278,7 @@ impl NodeBehavior for RetryState {
 
 impl Protocol for RetryBroadcast {
     fn create(&self, view: NodeView) -> Box<dyn NodeBehavior> {
-        let child_ports: Vec<Port> = decode_port_list(&view.advice)
+        let child_ports: Vec<Port> = decode_port_list(view.advice)
             .unwrap_or_default()
             .into_iter()
             .filter(|&p| (p as usize) < view.degree)

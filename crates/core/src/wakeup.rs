@@ -112,7 +112,7 @@ impl Protocol for TreeWakeup {
         // Malformed advice degrades to leaf behavior: the scheme stays
         // legal (silent until woken) and simply fails to forward, which the
         // experiments detect as incomplete wakeup.
-        let child_ports: Vec<Port> = decode_port_list(&view.advice)
+        let child_ports: Vec<Port> = decode_port_list(view.advice)
             .unwrap_or_default()
             .into_iter()
             .filter(|&p| (p as usize) < view.degree)

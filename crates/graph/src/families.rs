@@ -343,6 +343,9 @@ impl Family {
         Family::Caterpillar,
     ];
 
+    /// The smallest size every family supports.
+    pub const MIN_NODES: usize = 4;
+
     /// Display name used in experiment tables.
     pub fn name(&self) -> &'static str {
         match self {
@@ -368,9 +371,9 @@ impl Family {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 4` (the smallest size every family supports).
+    /// Panics if `n` is below [`MIN_NODES`](Self::MIN_NODES).
     pub fn build<R: Rng>(&self, n: usize, rng: &mut R) -> PortGraph {
-        assert!(n >= 4, "families are defined for n >= 4");
+        assert!(n >= Self::MIN_NODES, "families are defined for n >= 4");
         match self {
             Family::Path => path(n),
             Family::Cycle => cycle(n),

@@ -143,7 +143,7 @@ impl NodeBehavior for FallbackSource {
 
 impl Protocol for FallbackWakeup {
     fn create(&self, view: NodeView) -> Box<dyn NodeBehavior> {
-        let state = match decode_port_list(&view.advice) {
+        let state = match decode_port_list(view.advice) {
             Some(ports) if ports.iter().all(|&p| (p as usize) < view.degree) => {
                 FallbackState::Tree {
                     child_ports: ports.into_iter().map(|p| p as usize).collect(),

@@ -224,6 +224,38 @@ fn invalid_specs_are_rejected_with_the_first_error() {
     assert_eq!(err, "cells[1].scheme: unknown scheme \"psychic\"");
 }
 
+#[test]
+fn unbuildable_specs_are_errors_and_the_server_keeps_serving() {
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        journal_dir: None,
+        jobs: 1,
+        workers_hint: 1,
+    })
+    .unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let server_thread = thread::spawn(move || server.run().unwrap());
+    // Sizes no family is defined for, rejected by the server with an
+    // `Error` reply rather than a panic on the connection thread.
+    let mut spec = tiny_spec("svc-tiny", 2);
+    spec.instances[1].n = 3;
+    let err = submit(&addr, &spec.render(), true, 5).unwrap_err();
+    assert_eq!(err, "instances[1].n: family \"path\" needs n >= 4, got 3");
+    // The same server still accepts, runs and merges a valid job.
+    let spec = tiny_spec("svc-after-tiny", 4);
+    let local = run_local(&spec, 2).unwrap();
+    let spec_text = spec.render();
+    let submit_addr = addr.clone();
+    let client = thread::spawn(move || submit(&submit_addr, &spec_text, true, 5));
+    let worker = run_worker(&worker_config(&addr, "w-0", None)).expect("worker");
+    assert!(
+        matches!(worker, WorkerOutcome::Finished { .. }),
+        "{worker:?}"
+    );
+    assert_eq!(client.join().unwrap().expect("submit"), local);
+    server_thread.join().unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 

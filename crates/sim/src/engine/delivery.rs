@@ -10,6 +10,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::engine::config::{SimConfig, TaskMode};
 use crate::engine::outcome::SimError;
+use crate::faults::AdviceAdversary;
 use crate::metrics::RunMetrics;
 use crate::protocol::{Message, Outgoing};
 use crate::trace::{DropFault, MsgId, Recorder, TraceEvent, TraceSink};
@@ -181,10 +182,16 @@ impl<'a> NetState<'a> {
     }
 
     /// Applies the advice-corruption adversary, returning the mutated
-    /// advice if the plan has an active fault RNG. Must be called before
-    /// any [`enqueue`](NetState::enqueue) so the RNG stream matches the
-    /// documented draw order (advice first, then in-flight faults).
+    /// advice if the plan has an active fault RNG and an advice adversary
+    /// — the run's only copy of the advice. Must be called before any
+    /// [`enqueue`](NetState::enqueue) so the RNG stream matches the
+    /// documented draw order (advice first, then in-flight faults);
+    /// [`AdviceAdversary::None`] draws nothing, so skipping it keeps that
+    /// order.
     pub fn corrupt_advice(&mut self, advice: &[BitString]) -> Option<Vec<BitString>> {
+        if matches!(self.config.faults.advice, AdviceAdversary::None) {
+            return None;
+        }
         let rng = self.fault_rng.as_mut()?;
         let mut mutated = advice.to_vec();
         self.metrics.faults.advice_mutations = self.config.faults.advice.corrupt(&mut mutated, rng);

@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use oraclesize_bits::{BitArena, BitString};
+use oraclesize_bits::BitString;
 use oraclesize_graph::{NodeId, PortGraph};
 
 use crate::engine::config::SimConfig;
@@ -95,15 +95,12 @@ pub fn run_with_sink(
 
     let mut net = NetState::new(g, config, source, sink);
     let corrupted = net.corrupt_advice(advice);
-    // One contiguous buffer for all n advice strings (SoA layout,
-    // DESIGN.md §11) instead of n separately-allocated clones; node views
-    // materialise their own string from their arena span.
-    let advice = BitArena::from_strings(corrupted.as_deref().unwrap_or(advice));
+    let advice = corrupted.as_deref().unwrap_or(advice);
 
     let mut behaviors: Vec<Box<dyn NodeBehavior>> = (0..n)
         .map(|v| {
             protocol.create(NodeView {
-                advice: advice.get(v),
+                advice: &advice[v],
                 is_source: v == source,
                 id: if config.anonymous {
                     None

@@ -1,5 +1,5 @@
 use super::*;
-use crate::faults::FaultPlan;
+use crate::faults::{AdviceAdversary, FaultPlan};
 use crate::protocol::{FloodOnce, Message, NodeBehavior, NodeView, Outgoing, Protocol, Silent};
 use crate::scheduler::SchedulerKind;
 use crate::testkit::no_advice;
@@ -486,6 +486,42 @@ fn fault_free_delivery_never_copies_payloads_or_grows_queues() {
         out.metrics.faults.queue_allocs, 0,
         "drops and bit flips must not force queue growth"
     );
+}
+
+#[test]
+fn advice_is_lent_to_nodes_and_copied_only_when_an_adversary_rewrites_it() {
+    // Records where each node's advice lives, then floods.
+    struct AdviceAddress(std::cell::RefCell<Vec<*const BitString>>);
+    impl Protocol for AdviceAddress {
+        fn create(&self, view: NodeView) -> Box<dyn NodeBehavior> {
+            self.0.borrow_mut().push(view.advice as *const BitString);
+            FloodOnce.create(view)
+        }
+    }
+    let g = families::complete_rotational(8);
+    let advice: Vec<BitString> = (0..8)
+        .map(|v| BitString::from_bits((0..16).map(|i| (v + i) % 3 == 0)))
+        .collect();
+    let lent: Vec<*const BitString> = advice.iter().map(|a| a as *const BitString).collect();
+    let addresses = |cfg: &SimConfig| {
+        let probe = AdviceAddress(Default::default());
+        let out = run(&g, 0, &advice, &probe, cfg).unwrap();
+        (probe.0.into_inner(), out.metrics.faults.advice_mutations)
+    };
+
+    let dropping = SimConfig::broadcast().with_faults(FaultPlan::message_faults(5, 0.3, 0.0, 0.0));
+    for cfg in [SimConfig::broadcast(), dropping] {
+        assert_eq!(addresses(&cfg), (lent.clone(), 0));
+    }
+
+    let flipping = SimConfig::broadcast().with_faults(FaultPlan {
+        seed: 9,
+        advice: AdviceAdversary::FlipBits { prob: 0.25 },
+        ..FaultPlan::default()
+    });
+    let (seen, mutations) = addresses(&flipping);
+    assert!(mutations > 0);
+    assert!(seen.iter().zip(&lent).all(|(s, l)| s != l), "{seen:?}");
 }
 
 #[test]

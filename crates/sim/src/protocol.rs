@@ -8,10 +8,14 @@ use oraclesize_graph::Port;
 ///
 /// In the anonymous model (`id = None`) the upper bounds still hold
 /// (paper §1.3); the engine erases identities when configured to.
+///
+/// The advice is *lent* from the run's advice slice, never copied: a
+/// scheme that only decodes it reads through the reference, and one that
+/// keeps `f(v)` past [`Protocol::create`] clones it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeView {
+pub struct NodeView<'a> {
     /// The oracle's advice string `f(v)`.
-    pub advice: BitString,
+    pub advice: &'a BitString,
     /// The status bit `s(v)`: `true` iff this node is the source.
     pub is_source: bool,
     /// The node's label `id(v)`; `None` in the anonymous model.
@@ -111,7 +115,7 @@ pub trait NodeBehavior {
 /// the view.
 pub trait Protocol {
     /// Instantiates the scheme for one node.
-    fn create(&self, view: NodeView) -> Box<dyn NodeBehavior>;
+    fn create(&self, view: NodeView<'_>) -> Box<dyn NodeBehavior>;
 
     /// Short name used in experiment tables.
     fn name(&self) -> &'static str {
@@ -212,7 +216,7 @@ mod tests {
     #[test]
     fn flood_source_sends_everywhere_once() {
         let view = NodeView {
-            advice: BitString::new(),
+            advice: &BitString::new(),
             is_source: true,
             id: Some(0),
             degree: 3,
@@ -226,7 +230,7 @@ mod tests {
     #[test]
     fn flood_non_source_waits_for_informed_message() {
         let view = NodeView {
-            advice: BitString::new(),
+            advice: &BitString::new(),
             is_source: false,
             id: Some(1),
             degree: 4,
@@ -249,7 +253,7 @@ mod tests {
     #[test]
     fn silent_is_silent() {
         let view = NodeView {
-            advice: BitString::new(),
+            advice: &BitString::new(),
             is_source: true,
             id: None,
             degree: 2,

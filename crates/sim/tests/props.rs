@@ -166,7 +166,7 @@ proptest! {
             fn create(&self, view: NodeView) -> Box<dyn NodeBehavior> {
                 let mut expected = BitString::new();
                 expected.push_uint(view.id.expect("labeled run"), 16);
-                assert_eq!(view.advice, expected, "advice misrouted");
+                assert_eq!(*view.advice, expected, "advice misrouted");
                 Box::new(ProbeState)
             }
         }

@@ -253,6 +253,10 @@ impl CommonArgs {
             .value("--task")
             .ok_or_else(|| format!("{sub} requires --task"))?;
         let task = Task::parse(task).ok_or_else(|| format!("unknown task {task:?}"))?;
+        let n = a.number("--n")?.unwrap_or(n);
+        if n < Family::MIN_NODES {
+            return Err(format!("--n must be at least {}", Family::MIN_NODES));
+        }
         let seed = a.number("--seed")?.unwrap_or(2006);
         let scheduler = a
             .value("--scheduler")
@@ -266,7 +270,7 @@ impl CommonArgs {
             .transpose()?;
         Ok(CommonArgs {
             family,
-            n: a.number("--n")?.unwrap_or(n),
+            n,
             task,
             source: a.number("--source")?.unwrap_or(0),
             scheduler,
@@ -1092,9 +1096,12 @@ mod tests {
         // A 0-spanner does not exist; `run` never verifies a different t.
         let err = parse_args(&args(&["run", "--task", "spanner", "--stretch", "0"])).unwrap_err();
         assert_eq!(err, "--stretch must be at least 1");
-        // `run`, `sweep` and `trace` take no positional arguments.
+        // `run`, `sweep` and `trace` take no positional arguments, and no
+        // family is defined below 4 nodes.
         for sub in ["run", "sweep", "trace"] {
             assert!(parse_args(&args(&[sub, "--task", "flood", "stray"])).is_err());
+            let err = parse_args(&args(&[sub, "--task", "flood", "--n", "3"])).unwrap_err();
+            assert_eq!(err, "--n must be at least 4");
         }
     }
 
