@@ -14,13 +14,13 @@ use oraclesize_bench::harness::MASTER_SEED;
 use oraclesize_core::broadcast::{LightTreeOracle, SchemeB};
 use oraclesize_graph::families;
 use oraclesize_runtime::chaos::tear_tail;
-use oraclesize_runtime::trace::render_jsonl;
-use oraclesize_runtime::{run_supervised_batch, ChaosPlan, Pool, RunRequest, SweepOptions};
-use oraclesize_sim::{FaultPlan, Instance, SchedulerKind, SimConfig, TraceSpec};
+use oraclesize_runtime::{ChaosPlan, ChunkPlan, JsonlSink, Pool};
+use oraclesize_sim::{run_streamed, FaultPlan, Instance, SchedulerKind, SimConfig};
 
-/// Renders the trace-smoke grid — a fixed, fully traced T10-style
-/// scheduler × fault matrix of broadcasts on one hypercube instance — as
-/// JSONL in cell order.
+/// Renders the trace-smoke grid — a fixed T10-style scheduler × fault
+/// matrix of broadcasts on one hypercube instance — as JSONL in cell
+/// order. Each cell streams into its own [`JsonlSink`]; the cells run
+/// under the pool's work-stealing scheduler at `threads` workers.
 ///
 /// # Errors
 ///
@@ -28,11 +28,10 @@ use oraclesize_sim::{FaultPlan, Instance, SchedulerKind, SimConfig, TraceSpec};
 pub fn trace(threads: usize) -> Result<String, String> {
     let g = Arc::new(families::hypercube(5));
     let instance = Instance::build(g, 0, &LightTreeOracle);
-    let protocol: Arc<dyn oraclesize_sim::Protocol + Send + Sync> = Arc::new(SchemeB);
-    let requests: Vec<RunRequest> = (0..12)
+    let configs: Vec<SimConfig> = (0..12)
         .map(|cell| {
             let seed = MASTER_SEED.wrapping_add(cell as u64);
-            let config = SimConfig::broadcast()
+            SimConfig::broadcast()
                 .with_scheduler(match cell % 3 {
                     0 => SchedulerKind::Fifo,
                     1 => SchedulerKind::Lifo,
@@ -45,20 +44,17 @@ pub fn trace(threads: usize) -> Result<String, String> {
                     FaultPlan::default()
                 })
                 .with_quiescence_polls(16)
-                .capture_trace(TraceSpec::Full);
-            RunRequest::new(Arc::clone(&instance), Arc::clone(&protocol), config)
         })
         .collect();
-    let sweep = run_supervised_batch(&Pool::new(threads), &requests, &SweepOptions::default());
-    let mut jsonl = String::new();
-    for cell in &sweep.cells {
-        let report = &cell.report;
-        let outcome = report
-            .outcome()
-            .ok_or_else(|| format!("cell {} aborted: {:?}", report.cell, report.result))?;
-        jsonl.push_str(&render_jsonl(report.cell as u64, &outcome.trace));
-    }
-    Ok(jsonl)
+    let pool = Pool::new(threads);
+    let plan = ChunkPlan::balanced(configs.len(), pool.threads());
+    let (cells, _) = pool.run_chunked(&plan, |cell| {
+        let mut sink = JsonlSink::new(cell as u64);
+        run_streamed(&instance, &SchemeB, &configs[cell], &mut sink)
+            .map(|_| sink.into_string())
+            .map_err(|e| format!("cell {cell} aborted: {e}"))
+    });
+    cells.into_iter().collect()
 }
 
 fn artifact(dir: &Path) -> Result<Vec<u8>, String> {
@@ -191,4 +187,24 @@ pub fn chaos(scratch: Option<&str>) -> Result<(), String> {
     std::fs::remove_dir_all(&scratch).ok();
     println!("chaos-smoke: PASS — every failure path converged to the clean artifact");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use oraclesize_runtime::journal::fnv1a64;
+
+    /// The trace-smoke JSONL is pinned across commits, not just across
+    /// thread counts: any change to the event taxonomy, the renderer or
+    /// the grid shows up here as a digest change.
+    #[test]
+    fn trace_smoke_bytes_are_pinned() {
+        for threads in [1, 2] {
+            let jsonl = super::trace(threads).unwrap();
+            assert_eq!(
+                fnv1a64(jsonl.as_bytes()),
+                0xb8fa_7bb4_6f66_5c87,
+                "threads = {threads}"
+            );
+        }
+    }
 }

@@ -16,7 +16,7 @@ use oraclesize_core::robust::{RetryBroadcast, RobustTreeWakeup, RobustWakeupOrac
 use oraclesize_core::wakeup::{SpanningTreeOracle, TreeWakeup};
 use oraclesize_graph::families::{self, Family};
 use oraclesize_graph::{gadgets, PortGraph};
-use oraclesize_runtime::spec::{artifact_json, from_ppm, grid_json};
+use oraclesize_runtime::spec::{artifact_json, from_ppm, grid_json, to_u32};
 use oraclesize_runtime::{
     run_supervised_batch, ChaosPlan, Json, Pool, RunReport, RunRequest, SchedStats,
     SuperviseConfig, SweepOptions, SweepRun, SweepSpec,
@@ -194,7 +194,6 @@ impl CellGrid {
             supervise: SuperviseConfig {
                 max_retries: opts.max_retries,
                 cell_timeout: opts.cell_timeout,
-                ..SuperviseConfig::default()
             },
             journal: opts
                 .journal_dir
@@ -302,7 +301,7 @@ fn build_protocol(
             let retries = retries
                 .ok_or_else(|| "retries: required by scheme \"retry-broadcast\"".to_string())?;
             Arc::new(RetryBroadcast {
-                retries: retries as u32,
+                retries: to_u32(retries, "retries")?,
             })
         }
         other => return Err(format!("scheme: unknown scheme {other:?}")),
@@ -335,7 +334,6 @@ pub fn emit_json(opts: &ExpOptions, id: &str, body: Json) -> Result<Option<PathB
 mod tests {
     use super::*;
     use oraclesize_runtime::{CellSpec, FaultSpec, InstanceSpec};
-    use oraclesize_sim::{SimConfig, TraceSpec};
 
     fn tiny_spec() -> SweepSpec {
         let mut spec = SweepSpec::new("t0", 2006);
@@ -404,34 +402,56 @@ mod tests {
 
     #[test]
     fn from_spec_rejects_sizes_and_probabilities_a_family_cannot_build() {
-        let cases = [
-            ("path", 3, None, "n: family \"path\" needs n >= 4, got 3"),
-            (
-                "subdivided-clique",
-                1,
-                None,
-                "n: family \"subdivided-clique\" needs n >= 2, got 1",
-            ),
-            (
-                "random-connected",
-                0,
-                Some(500_000),
-                "n: family \"random-connected\" needs n >= 1, got 0",
-            ),
-            (
-                "random-connected",
-                8,
-                Some(2_000_000),
-                "p_ppm: family \"random-connected\" needs p_ppm <= 1000000, got 2000000",
-            ),
-        ];
-        for (family, n, p_ppm, want) in cases {
-            let mut spec = tiny_spec();
+        fn instance(spec: &mut SweepSpec, family: &str, n: u64, p_ppm: Option<u64>) {
             spec.instances[0].family = family.to_string();
             spec.instances[0].n = n;
             spec.instances[0].p_ppm = p_ppm;
+        }
+        type Mutate = fn(&mut SweepSpec);
+        let cases: [(Mutate, &str); 8] = [
+            (
+                |s| instance(s, "path", 3, None),
+                "instances[0].n: family \"path\" needs n >= 4, got 3",
+            ),
+            (
+                |s| instance(s, "subdivided-clique", 1, None),
+                "instances[0].n: family \"subdivided-clique\" needs n >= 2, got 1",
+            ),
+            (
+                |s| instance(s, "random-connected", 0, Some(500_000)),
+                "instances[0].n: family \"random-connected\" needs n >= 1, got 0",
+            ),
+            (
+                |s| instance(s, "random-connected", 8, Some(2_000_000)),
+                "instances[0].p_ppm: family \"random-connected\" needs p_ppm <= 1000000, got 2000000",
+            ),
+            // Counts held as u32 are rejected, not truncated: 2^32 polls
+            // would otherwise run as 0, and 2^32 + 1 as 1.
+            (
+                |s| s.cells[1].quiescence_polls = Some(1 << 32),
+                "cells[1].quiescence_polls: 4294967296 exceeds 4294967295",
+            ),
+            (
+                |s| s.cells[0].quiescence_polls = Some((1 << 32) + 1),
+                "cells[0].quiescence_polls: 4294967297 exceeds 4294967295",
+            ),
+            (
+                |s| {
+                    s.cells[0].scheme = "retry-broadcast".to_string();
+                    s.cells[0].retries = Some(1 << 32);
+                },
+                "cells[0].retries: 4294967296 exceeds 4294967295",
+            ),
+            (
+                |s| s.knobs.max_retries = 1 << 32,
+                "knobs.max_retries: 4294967296 exceeds 4294967295",
+            ),
+        ];
+        for (mutate, want) in cases {
+            let mut spec = tiny_spec();
+            mutate(&mut spec);
             let err = CellGrid::from_spec(&spec).map(|_| ()).unwrap_err();
-            assert_eq!(err, format!("instances[0].{want}"));
+            assert_eq!(err, want);
         }
     }
 
@@ -466,30 +486,6 @@ mod tests {
         let serial = render(1);
         assert_eq!(serial, render(4));
         assert!(oraclesize_runtime::json::parse(&serial).is_some());
-    }
-
-    #[test]
-    // Tracing is a debugging knob, not part of the sweep description, so
-    // this test builds its grid cell by cell.
-    fn traced_cells_get_a_trace_record_untraced_cells_do_not() {
-        let inst = Instance::build(Arc::new(families::cycle(6)), 0, &EmptyOracle);
-        let mut grid = CellGrid::default();
-        grid.add_cell(
-            "plain".to_string(),
-            RunRequest::new(Arc::clone(&inst), Arc::new(FloodOnce), SimConfig::default()),
-        );
-        grid.add_cell(
-            "traced".to_string(),
-            RunRequest::new(
-                inst,
-                Arc::new(FloodOnce),
-                SimConfig::broadcast().capture_trace(TraceSpec::Full),
-            ),
-        );
-        let json = grid.to_json(&run(&grid, &ExpOptions::default())).render();
-        // Exactly one cell carries the trace sub-object.
-        assert_eq!(json.matches("\"trace\": {").count(), 1, "{json}");
-        assert!(json.contains("\"delivered\": "), "{json}");
     }
 
     #[test]

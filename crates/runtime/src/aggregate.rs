@@ -130,10 +130,7 @@ mod tests {
                 completed,
                 uninformed: usize::from(!completed),
                 crashed_nodes: 0,
-                trace: Vec::new(),
-                trace_stats: Default::default(),
             }),
-            post_mortem: Vec::new(),
         }
     }
 
@@ -157,7 +154,6 @@ mod tests {
             RunReport {
                 cell: 1,
                 result: Err("boom".into()),
-                post_mortem: Vec::new(),
             },
         ]);
         assert_eq!(agg.cells, 2);

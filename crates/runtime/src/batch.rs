@@ -3,10 +3,9 @@
 
 use std::sync::Arc;
 
-use oraclesize_sim::engine::{run_with_sink, Completion, RunOutcome, SimConfig};
+use oraclesize_sim::engine::{Completion, RunOutcome, SimConfig};
 use oraclesize_sim::protocol::Protocol;
-use oraclesize_sim::trace::{NullSink, RingSink, TraceEvent, TraceSpec, TraceStats, VecSink};
-use oraclesize_sim::{Instance, RunMetrics};
+use oraclesize_sim::{run, Instance, RunMetrics};
 
 /// One cell of an experiment grid: which instance to run, with which
 /// scheme, under which configuration.
@@ -54,7 +53,8 @@ impl RunRequest {
 ///
 /// Everything here is plain old data with `Eq`, so whole report vectors
 /// can be compared across thread counts — the determinism property the
-/// runtime guarantees and the tests enforce.
+/// runtime guarantees and the tests enforce. It holds counts only: there
+/// is no field a trace could ride in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellOutcome {
     /// Oracle size of the instance, in bits.
@@ -68,12 +68,6 @@ pub struct CellOutcome {
     pub uninformed: usize,
     /// Nodes that crash-stopped during the run.
     pub crashed_nodes: usize,
-    /// Captured events when the request's config asked for
-    /// [`TraceSpec::Full`]; empty otherwise (ring tails go to the report's
-    /// post-mortem instead).
-    pub trace: Vec<TraceEvent>,
-    /// Constant-size trace tallies (zeroed when tracing was off).
-    pub trace_stats: TraceStats,
 }
 
 /// The result of one cell: its index plus either an outcome or the
@@ -86,11 +80,6 @@ pub struct RunReport {
     /// Outcome, or the rendered [`SimError`](oraclesize_sim::SimError) if
     /// the run aborted.
     pub result: Result<CellOutcome, String>,
-    /// The last events before things went wrong: when the request asked
-    /// for [`TraceSpec::Ring`] tracing and the cell degraded or aborted,
-    /// this holds the ring's tail (oldest first). Empty for completed
-    /// cells and untraced requests.
-    pub post_mortem: Vec<TraceEvent>,
 }
 
 impl RunReport {
@@ -111,54 +100,19 @@ fn cell_outcome(inst: &Instance, outcome: RunOutcome) -> CellOutcome {
         completed,
         uninformed,
         metrics: outcome.metrics,
-        trace: outcome.trace,
-        trace_stats: outcome.trace_stats,
     }
 }
 
-/// Executes a single request, capturing traces per the request's
-/// `config.trace`: [`TraceSpec::Full`] events land in the outcome's
-/// `trace`, a [`TraceSpec::Ring`] tail lands in `post_mortem` when (and
-/// only when) the cell degrades or aborts.
+/// Executes a single request, untraced. To trace a cell, stream its
+/// request through [`oraclesize_sim::run_streamed`] with a sink of your
+/// own.
 pub fn run_cell_report(cell: usize, request: &RunRequest) -> RunReport {
     let inst = &request.instance;
-    let run = |sink: &mut dyn oraclesize_sim::TraceSink| {
-        run_with_sink(
-            &inst.graph,
-            inst.source,
-            &inst.advice,
-            request.protocol.as_ref(),
-            &request.config,
-            sink,
-        )
-    };
-    let (result, post_mortem) = match request.config.trace {
-        TraceSpec::Off => (run(&mut NullSink), Vec::new()),
-        TraceSpec::Full => {
-            let mut sink = VecSink::new();
-            let result = run(&mut sink).map(|mut outcome| {
-                outcome.trace = sink.into_events();
-                outcome
-            });
-            (result, Vec::new())
-        }
-        TraceSpec::Ring { capacity } => {
-            let mut sink = RingSink::new(capacity);
-            let result = run(&mut sink);
-            let went_wrong = match &result {
-                Ok(outcome) => outcome.classify() != Completion::Completed,
-                Err(_) => true,
-            };
-            let tail = if went_wrong { sink.tail() } else { Vec::new() };
-            (result, tail)
-        }
-    };
     RunReport {
         cell,
-        result: result
+        result: run(inst, request.protocol.as_ref(), &request.config)
             .map(|outcome| cell_outcome(inst, outcome))
             .map_err(|e| e.to_string()),
-        post_mortem,
     }
 }
 
@@ -167,8 +121,7 @@ mod tests {
     use super::*;
     use oraclesize_core::oracle::EmptyOracle;
     use oraclesize_graph::families;
-    use oraclesize_sim::protocol::FloodOnce;
-    use oraclesize_sim::{FaultPlan, SimConfig};
+    use oraclesize_sim::SimConfig;
 
     #[test]
     fn engine_errors_become_report_errors() {
@@ -214,53 +167,5 @@ mod tests {
         let report = run_cell_report(0, &RunRequest::new(inst, Arc::new(AllStart), cfg));
         let err = report.result.as_ref().unwrap_err();
         assert!(err.contains("before being woken up"), "{err}");
-    }
-
-    #[test]
-    fn full_trace_requests_fill_cell_outcomes() {
-        let inst = Instance::build(Arc::new(families::cycle(5)), 0, &EmptyOracle);
-        let cfg = SimConfig::broadcast().capture_trace(TraceSpec::Full);
-        let report = run_cell_report(0, &RunRequest::new(inst, Arc::new(FloodOnce), cfg));
-        let out = report.outcome().unwrap();
-        assert!(!out.trace.is_empty());
-        assert_eq!(TraceStats::tally(&out.trace), out.trace_stats);
-        assert_eq!(out.trace_stats.delivered, out.metrics.steps);
-        assert!(report.post_mortem.is_empty(), "completed: no tail");
-    }
-
-    #[test]
-    fn ring_post_mortem_captured_only_when_cells_go_wrong() {
-        // Total message loss: the run completes degraded, so the ring tail
-        // must surface as the report's post-mortem.
-        let g = Arc::new(families::path(4));
-        let inst = Instance::build(Arc::clone(&g), 0, &EmptyOracle);
-        let doomed = SimConfig::broadcast()
-            .with_faults(FaultPlan::message_faults(3, 1.0, 0.0, 0.0))
-            .capture_trace(TraceSpec::Ring { capacity: 8 });
-        let clean = SimConfig::broadcast().capture_trace(TraceSpec::Ring { capacity: 8 });
-        let reports = [
-            run_cell_report(
-                0,
-                &RunRequest::new(Arc::clone(&inst), Arc::new(FloodOnce), doomed),
-            ),
-            run_cell_report(1, &RunRequest::new(inst, Arc::new(FloodOnce), clean)),
-        ];
-        assert!(!reports[0].outcome().unwrap().completed);
-        assert!(!reports[0].post_mortem.is_empty());
-        assert!(reports[0].outcome().unwrap().trace.is_empty());
-        assert!(reports[1].outcome().unwrap().completed);
-        assert!(reports[1].post_mortem.is_empty());
-    }
-
-    #[test]
-    fn aborted_ring_cells_keep_their_tail() {
-        let inst = Instance::build(Arc::new(families::path(3)), 0, &EmptyOracle);
-        let cfg = SimConfig::broadcast()
-            .with_max_steps(1)
-            .capture_trace(TraceSpec::Ring { capacity: 4 });
-        let report = run_cell_report(0, &RunRequest::new(inst, Arc::new(FloodOnce), cfg));
-        assert!(report.result.is_err());
-        assert!(!report.post_mortem.is_empty());
-        assert!(report.post_mortem.len() <= 4);
     }
 }

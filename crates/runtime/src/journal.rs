@@ -24,9 +24,10 @@
 //! FNV-1a 64 digest of its rendered `report` object, so bit rot inside a
 //! record is caught the same way.
 //!
-//! Only *untraced* reports are journaled: a record stores metrics and
-//! fault counts, not event streams, so any cell that captured a trace (or
-//! a ring post-mortem) is re-run on resume rather than replayed lossily.
+//! A record stores exactly what a [`RunReport`] holds — metrics and fault
+//! counts. Reports carry no trace data (a trace is streamed into a sink
+//! the caller passes, never into a report), so every report round-trips
+//! through a record losslessly.
 
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -71,7 +72,7 @@ pub struct JournalRecord {
     /// The seed the cell ran under; a resume with a different seed
     /// discards the record instead of replaying a stale result.
     pub seed: u64,
-    /// The reconstructed report (untraced by construction).
+    /// The reconstructed report.
     pub report: RunReport,
 }
 
@@ -83,17 +84,6 @@ pub struct LoadedJournal {
     pub records: Vec<JournalRecord>,
     /// One line per anomaly (torn tail, digest mismatch, shape mismatch).
     pub warnings: Vec<String>,
-}
-
-/// `true` iff `report` can round-trip through a journal record: no
-/// captured trace, no ring post-mortem, default trace tallies. Everything
-/// else re-runs on resume.
-pub fn journalable(report: &RunReport) -> bool {
-    report.post_mortem.is_empty()
-        && match &report.result {
-            Ok(outcome) => outcome.trace.is_empty() && outcome.trace_stats == Default::default(),
-            Err(_) => true,
-        }
 }
 
 fn metrics_json(m: &RunMetrics) -> Json {
@@ -140,7 +130,7 @@ fn metrics_from_json(j: &Json) -> Option<RunMetrics> {
 
 /// Renders a report as the journal's (and the sweep service's wire)
 /// record body: `{"ok": {…}}` for completed runs, `{"err": "…"}` for
-/// failures. Traces are never encoded — see [`journalable`].
+/// failures.
 pub fn report_json(report: &RunReport) -> Json {
     match &report.result {
         Ok(o) => Json::obj().field(
@@ -167,17 +157,11 @@ pub fn report_from_json(cell: usize, j: &Json) -> Option<RunReport> {
             uninformed: usize::try_from(ok.get("uninformed")?.as_u64()?).ok()?,
             crashed_nodes: usize::try_from(ok.get("crashed_nodes")?.as_u64()?).ok()?,
             metrics: metrics_from_json(ok.get("metrics")?)?,
-            trace: Vec::new(),
-            trace_stats: Default::default(),
         })
     } else {
         Err(j.get("err")?.as_str()?.to_string())
     };
-    Some(RunReport {
-        cell,
-        result,
-        post_mortem: Vec::new(),
-    })
+    Some(RunReport { cell, result })
 }
 
 /// Renders one record line (without its length prefix).
@@ -307,19 +291,17 @@ impl Journal {
         Ok((journal, loaded))
     }
 
-    /// Appends one completed-cell record and flushes it to disk.
-    ///
-    /// Traced reports (see [`journalable`]) are skipped silently — the
-    /// cell will re-run on resume, which is the lossless option.
+    /// Appends one completed-cell record, handing it to the operating
+    /// system with a single unbuffered write (`flush` on a `File` does
+    /// nothing more). The record survives the process being killed, but
+    /// not a power cut: there is no fsync per cell (only the header is
+    /// synced, on create).
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors; the caller decides whether a failed
     /// checkpoint degrades the sweep or merely warns.
     pub fn append(&mut self, cell: usize, seed: u64, report: &RunReport) -> std::io::Result<()> {
-        if !journalable(report) {
-            return Ok(());
-        }
         let line = record_line(cell, seed, report);
         let framed = format!("{}\n{line}\n", line.len());
         self.file.write_all(framed.as_bytes())?;
@@ -494,10 +476,7 @@ mod tests {
                 completed: true,
                 uninformed: 0,
                 crashed_nodes: 0,
-                trace: Vec::new(),
-                trace_stats: Default::default(),
             }),
-            post_mortem: Vec::new(),
         }
     }
 
@@ -505,7 +484,6 @@ mod tests {
         RunReport {
             cell,
             result: Err("step limit 5 exhausted".to_string()),
-            post_mortem: Vec::new(),
         }
     }
 
@@ -610,19 +588,6 @@ mod tests {
         let again = load(&path, 4).unwrap();
         assert!(again.warnings.is_empty(), "{:?}", again.warnings);
         assert_eq!(again.records.len(), 2);
-    }
-
-    #[test]
-    fn traced_reports_are_not_journaled() {
-        let mut traced = sample_report(0);
-        if let Ok(o) = &mut traced.result {
-            o.trace_stats.events = 5;
-        }
-        assert!(!journalable(&traced));
-        let path = temp_path("traced");
-        let mut j = Journal::create(&path, 2).unwrap();
-        j.append(0, 1, &traced).unwrap();
-        assert!(load(&path, 2).unwrap().records.is_empty());
     }
 
     #[test]

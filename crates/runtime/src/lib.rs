@@ -26,17 +26,20 @@
 //!   byte-identical output,
 //! * [`json`] — a minimal, deterministic JSON writer (insertion-ordered
 //!   objects, integers only) used for the `BENCH_T*.json` artifacts,
-//! * [`trace`] — deterministic JSONL rendering of engine traces
-//!   ([`trace::JsonlSink`], [`trace::event_json`]) for the `trace`
-//!   subcommand and the CI trace-smoke job,
+//! * [`trace`] — deterministic JSONL rendering of engine traces: a
+//!   [`trace::JsonlSink`] passed to [`oraclesize_sim::run_streamed`]
+//!   renders each event as it is emitted (the `trace` subcommand and the
+//!   CI trace-smoke job). Tracing is a sink you pass, never a report
+//!   field: [`RunReport`]s, journal records and artifacts hold counts
+//!   only,
 //! * [`spec`] — the canonical serializable [`SweepSpec`] job description:
 //!   every sweep (bench grid, CLI flags, service submission) lowers into
 //!   one spec type, and the artifact renderer lives beside it,
 //! * [`journal`] — the append-only checkpoint file that makes sweeps
 //!   resumable: completed cells are recorded as they finish and skipped
 //!   after a crash,
-//! * [`supervise`] — panic isolation, bounded retries with simulated
-//!   backoff, a per-cell watchdog, and the journal-backed
+//! * [`supervise`] — panic isolation, bounded retries, a per-cell
+//!   watchdog, and the journal-backed
 //!   [`run_supervised_batch`] dispatch — the one way a sweep runs,
 //! * [`chaos`] — deterministic failure injection (worker panics, stalls,
 //!   torn journal writes) for tests and the CI chaos-smoke job only.

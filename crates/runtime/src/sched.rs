@@ -95,7 +95,7 @@ impl ChunkPlan {
     }
 
     /// The automatic plan for a plain batch: uniform chunks sized so
-    /// each of `workers` workers sees about [`CHUNKS_PER_WORKER`] chunks.
+    /// each of `workers` workers sees about `CHUNKS_PER_WORKER` (8) chunks.
     pub fn balanced(jobs: usize, workers: usize) -> ChunkPlan {
         let lanes = workers.max(1) * CHUNKS_PER_WORKER;
         ChunkPlan::uniform(jobs, jobs.div_ceil(lanes.max(1)).max(1))

@@ -21,7 +21,6 @@ use oraclesize_sim::{AdviceAdversary, FaultPlan, SchedulerKind, SimConfig};
 use crate::aggregate::Aggregate;
 use crate::batch::RunReport;
 use crate::json::Json;
-use crate::trace::stats_json;
 
 /// Converts a probability in `[0, 1]` to parts-per-million.
 pub fn to_ppm(prob: f64) -> u64 {
@@ -168,7 +167,7 @@ impl CellSpec {
             config = config.with_max_message_bits(bits);
         }
         if let Some(polls) = self.quiescence_polls {
-            config = config.with_quiescence_polls(polls as u32);
+            config = config.with_quiescence_polls(to_u32(polls, "quiescence_polls")?);
         }
         // An inert plan makes the engine take the exact fault-free code
         // path, so installing the default plan is byte-identical to
@@ -448,7 +447,8 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// Returns a first-error message for an instance index out of range.
+    /// Returns a first-error message for an instance index out of range,
+    /// or a quiescence-poll or retry count above `u32::MAX`.
     pub fn validate(&self) -> Result<(), String> {
         for (i, cell) in self.cells.iter().enumerate() {
             if cell.instance >= self.instances.len() as u64 {
@@ -458,9 +458,28 @@ impl SweepSpec {
                     self.instances.len()
                 ));
             }
+            for (value, field) in [
+                (cell.quiescence_polls, "quiescence_polls"),
+                (cell.retries, "retries"),
+            ] {
+                if let Some(value) = value {
+                    to_u32(value, &format!("cells[{i}].{field}"))?;
+                }
+            }
         }
+        to_u32(self.knobs.max_retries, "knobs.max_retries")?;
         Ok(())
     }
+}
+
+/// Narrows a spec count to the `u32` the engine and supervisor take,
+/// naming `path` when it does not fit.
+///
+/// # Errors
+///
+/// Returns `"<path>: <value> exceeds 4294967295"` above `u32::MAX`.
+pub fn to_u32(value: u64, path: &str) -> Result<u32, String> {
+    u32::try_from(value).map_err(|_| format!("{path}: {value} exceeds {}", u32::MAX))
 }
 
 fn instance_json(inst: &InstanceSpec) -> Json {
@@ -712,31 +731,21 @@ pub fn grid_json(labels: &[String], reports: &[RunReport]) -> Json {
         .map(|(i, (label, report))| {
             let base = Json::obj().field("cell", i).field("label", label.as_str());
             match &report.result {
-                Ok(out) => {
-                    let record = base
-                        .field("completed", out.completed)
-                        .field("uninformed", out.uninformed)
-                        .field("crashed_nodes", out.crashed_nodes)
-                        .field("oracle_bits", out.oracle_bits)
-                        .field("messages", out.metrics.messages)
-                        .field("payload_bits", out.metrics.payload_bits)
-                        .field("max_message_bits", out.metrics.max_message_bits)
-                        .field("rounds", out.metrics.rounds)
-                        .field("steps", out.metrics.steps)
-                        .field("informed_nodes", out.metrics.informed_nodes)
-                        .field("dropped", out.metrics.faults.dropped)
-                        .field("duplicated", out.metrics.faults.duplicated)
-                        .field("payload_flips", out.metrics.faults.payload_flips)
-                        .field("advice_mutations", out.metrics.faults.advice_mutations);
-                    // Untraced cells (the committed BENCH_T*.json
-                    // artifacts) carry zeroed stats and keep their exact
-                    // historical bytes.
-                    if out.trace_stats == oraclesize_sim::TraceStats::default() {
-                        record
-                    } else {
-                        record.field("trace", stats_json(&out.trace_stats))
-                    }
-                }
+                Ok(out) => base
+                    .field("completed", out.completed)
+                    .field("uninformed", out.uninformed)
+                    .field("crashed_nodes", out.crashed_nodes)
+                    .field("oracle_bits", out.oracle_bits)
+                    .field("messages", out.metrics.messages)
+                    .field("payload_bits", out.metrics.payload_bits)
+                    .field("max_message_bits", out.metrics.max_message_bits)
+                    .field("rounds", out.metrics.rounds)
+                    .field("steps", out.metrics.steps)
+                    .field("informed_nodes", out.metrics.informed_nodes)
+                    .field("dropped", out.metrics.faults.dropped)
+                    .field("duplicated", out.metrics.faults.duplicated)
+                    .field("payload_flips", out.metrics.faults.payload_flips)
+                    .field("advice_mutations", out.metrics.faults.advice_mutations),
                 Err(e) => base.field("error", e.as_str()),
             }
         })

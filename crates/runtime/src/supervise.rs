@@ -10,9 +10,8 @@
 //!   panic becomes an `Err("panic: …")` report for that attempt instead
 //!   of unwinding through the pool,
 //! * **bounded retries** — a failed attempt (panic or engine abort) is
-//!   re-run up to [`SuperviseConfig::max_retries`] times with
-//!   deterministic exponential backoff accounted in *simulated* ticks —
-//!   never the wall clock, so supervised runs stay replayable,
+//!   re-run up to [`SuperviseConfig::max_retries`] times, immediately —
+//!   no clock is read, so supervised runs stay replayable,
 //! * **watchdog** — [`SuperviseConfig::cell_timeout`] caps each attempt's
 //!   step budget; a cell that exceeds it aborts with the engine's
 //!   `StepLimit` error instead of hanging the sweep,
@@ -68,8 +67,8 @@ pub enum CellStatus {
     Aborted,
 }
 
-/// Retry, backoff, and watchdog policy for supervised execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Retry and watchdog policy for supervised execution.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SuperviseConfig {
     /// Failed attempts re-run at most this many times (0 = fail fast).
     pub max_retries: u32,
@@ -78,22 +77,6 @@ pub struct SuperviseConfig {
     /// instead of hanging the sweep. `None` leaves the request's own
     /// budget in force.
     pub cell_timeout: Option<u64>,
-    /// Backoff unit: retry `k` charges `backoff_base << (k−1)` simulated
-    /// ticks, accounted in [`SupervisedReport::backoff_ticks`]. No wall
-    /// clock is read — an in-process retry needs no real delay, and the
-    /// networked runtime this layer anticipates will convert ticks to
-    /// sleeps at its edge.
-    pub backoff_base: u64,
-}
-
-impl Default for SuperviseConfig {
-    fn default() -> Self {
-        SuperviseConfig {
-            max_retries: 0,
-            cell_timeout: None,
-            backoff_base: 16,
-        }
-    }
 }
 
 /// A cell report plus its supervision verdict.
@@ -106,8 +89,6 @@ pub struct SupervisedReport {
     pub status: CellStatus,
     /// Attempts actually executed (0 for `Resumed` cells).
     pub attempts: u32,
-    /// Total simulated backoff charged across retries.
-    pub backoff_ticks: u64,
 }
 
 /// Everything a supervised sweep needs beyond the requests themselves.
@@ -260,7 +241,6 @@ fn attempt_cell(
                     "watchdog: cell stalled past {} simulated steps",
                     sup.cell_timeout.unwrap_or(0)
                 )),
-                post_mortem: Vec::new(),
             };
         }
         Injection::Panic | Injection::None => {}
@@ -286,21 +266,18 @@ fn attempt_cell(
         Err(payload) => RunReport {
             cell,
             result: Err(format!("panic: {}", panic_text(payload.as_ref()))),
-            post_mortem: Vec::new(),
         },
     }
 }
 
 /// Executes one cell under the full supervision policy: watchdog-capped
-/// attempts, panic isolation, bounded retries with deterministic
-/// simulated backoff.
+/// attempts, panic isolation, bounded retries.
 pub fn run_cell_supervised(
     cell: usize,
     request: &RunRequest,
     sup: &SuperviseConfig,
     chaos: &ChaosPlan,
 ) -> SupervisedReport {
-    let mut backoff_ticks = 0u64;
     let mut attempt = 0u32;
     loop {
         let report = attempt_cell(cell, request, sup, chaos, attempt);
@@ -317,7 +294,6 @@ pub fn run_cell_supervised(
                 report,
                 status,
                 attempts: attempt,
-                backoff_ticks,
             };
         }
         if attempt > sup.max_retries {
@@ -325,11 +301,8 @@ pub fn run_cell_supervised(
                 report,
                 status: CellStatus::Aborted,
                 attempts: attempt,
-                backoff_ticks,
             };
         }
-        let shift = (attempt - 1).min(32);
-        backoff_ticks = backoff_ticks.saturating_add(sup.backoff_base.saturating_mul(1 << shift));
     }
 }
 
@@ -346,7 +319,7 @@ pub struct OrderedCommitter {
     journal: Option<Journal>,
     /// Cells that settled ahead of the commit cursor; `Some` holds a
     /// record still owed to the journal, `None` means the cell produced
-    /// no append (resumed, aborted, or not journalable).
+    /// no append (resumed or aborted).
     pending: BTreeMap<usize, Option<(u64, RunReport)>>,
     /// The next cell index the journal is waiting on.
     next: usize,
@@ -496,7 +469,6 @@ pub fn run_supervised_shard(
                     report: report.clone(),
                     status: CellStatus::Resumed,
                     attempts: 0,
-                    backoff_ticks: 0,
                 };
             }
             if opts.chaos.dies_before(cell) {
@@ -505,11 +477,9 @@ pub fn run_supervised_shard(
                     report: RunReport {
                         cell,
                         result: Err("sweep interrupted before cell ran".to_string()),
-                        post_mortem: Vec::new(),
                     },
                     status: CellStatus::Aborted,
                     attempts: 0,
-                    backoff_ticks: 0,
                 };
             }
             let sup = run_cell_supervised(cell, &requests[local], &opts.supervise, &opts.chaos);

@@ -9,8 +9,11 @@
 //!
 //! Every line carries its grid `cell` and a per-cell `seq` counter, so
 //! lines from many cells can be concatenated and still attributed.
+//! [`JsonlSink`] is the one renderer: pass it to
+//! [`oraclesize_sim::run_streamed`] and it renders each event as the
+//! engine emits it.
 
-use oraclesize_sim::trace::{DropFault, Phase, TraceEvent, TraceStats};
+use oraclesize_sim::trace::{DropFault, Phase, TraceEvent};
 use oraclesize_sim::TraceSink;
 
 use crate::json::Json;
@@ -82,29 +85,6 @@ pub fn event_json(cell: u64, seq: u64, event: &TraceEvent) -> Json {
             .field("messages", r.messages)
             .field("frontier", r.frontier),
     }
-}
-
-/// Renders the constant-size tallies of a trace (for per-cell grid stats).
-pub fn stats_json(stats: &TraceStats) -> Json {
-    Json::obj()
-        .field("events", stats.events)
-        .field("enqueued", stats.enqueued)
-        .field("delivered", stats.delivered)
-        .field("dropped", stats.dropped)
-        .field("corrupted", stats.corrupted)
-        .field("wakes", stats.wakes)
-        .field("rollups", stats.rollups)
-}
-
-/// Renders a slice of events as JSONL (one object per line, each line
-/// newline-terminated), numbering `seq` from 0.
-pub fn render_jsonl(cell: u64, events: &[TraceEvent]) -> String {
-    let mut out = String::new();
-    for (seq, event) in events.iter().enumerate() {
-        out.push_str(&event_json(cell, seq as u64, event).render());
-        out.push('\n');
-    }
-    out
 }
 
 /// A [`TraceSink`] that renders each event to a JSONL line as it is
@@ -226,21 +206,19 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_matches_batch_render() {
+    fn jsonl_sink_renders_one_numbered_line_per_event() {
         let events = sample_events();
-        let mut sink = JsonlSink::new(3);
+        let mut sink = JsonlSink::new(2);
         for e in &events {
             sink.emit(*e);
         }
         assert_eq!(sink.len(), events.len() as u64);
-        assert_eq!(sink.as_str(), render_jsonl(3, &events));
-    }
-
-    #[test]
-    fn lines_carry_cell_and_ordered_seq() {
-        let text = render_jsonl(2, &sample_events());
-        for (i, line) in text.lines().enumerate() {
+        let text = sink.into_string();
+        assert!(text.ends_with('\n'));
+        for (i, (line, event)) in text.lines().zip(&events).enumerate() {
+            assert_eq!(line, event_json(2, i as u64, event).render());
             assert!(line.starts_with(&format!("{{\"cell\": 2, \"seq\": {i}, ")));
         }
+        assert_eq!(text.lines().count(), events.len());
     }
 }

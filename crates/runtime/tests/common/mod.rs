@@ -7,21 +7,14 @@ use oraclesize_core::oracle::EmptyOracle;
 use oraclesize_graph::families::Family;
 use oraclesize_runtime::{run_cell_report, RunReport, RunRequest};
 use oraclesize_sim::protocol::FloodOnce;
-use oraclesize_sim::{FaultPlan, Instance, SchedulerKind, SimConfig, TraceSpec};
+use oraclesize_sim::{FaultPlan, Instance, SchedulerKind, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// A seed sweep of `cells` broadcasts over one shared instance of `fam`,
 /// with per-cell schedulers, synchrony and fault plans — every code path
-/// that could conceivably differ across workers. `trace(cell)` picks
-/// each cell's trace capture.
-pub fn grid(
-    fam: Family,
-    n: usize,
-    seed: u64,
-    cells: usize,
-    trace: impl Fn(usize) -> TraceSpec,
-) -> Vec<RunRequest> {
+/// that could conceivably differ across workers.
+pub fn grid(fam: Family, n: usize, seed: u64, cells: usize) -> Vec<RunRequest> {
     let mut rng = StdRng::seed_from_u64(seed);
     let g = Arc::new(fam.build(n, &mut rng));
     let source = seed as usize % g.num_nodes();
@@ -41,8 +34,7 @@ pub fn grid(
                     FaultPlan::message_faults(cell_seed, 0.1, 0.1, 0.2)
                 } else {
                     FaultPlan::default()
-                })
-                .capture_trace(trace(cell));
+                });
             RunRequest::new(Arc::clone(&instance), Arc::clone(&protocol), config)
         })
         .collect()

@@ -7,21 +7,11 @@
 
 mod common;
 
-use common::serial;
+use common::{grid, serial};
 use oraclesize_graph::families::Family;
 use oraclesize_runtime::spec::grid_json;
 use oraclesize_runtime::{run_supervised_batch, Pool, RunReport, RunRequest, SweepOptions};
-use oraclesize_sim::TraceSpec;
 use proptest::prelude::*;
-
-/// The shared grid with a mix of full, ring and no trace capture.
-fn grid(fam: Family, n: usize, seed: u64, cells: usize) -> Vec<RunRequest> {
-    common::grid(fam, n, seed, cells, |cell| match cell % 4 {
-        0 => TraceSpec::Full,
-        1 => TraceSpec::Ring { capacity: 16 },
-        _ => TraceSpec::Off,
-    })
-}
 
 /// The supervised sweep at `threads` workers, optionally with a fixed
 /// chunk size.

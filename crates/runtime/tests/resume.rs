@@ -7,21 +7,12 @@ mod common;
 
 use std::path::PathBuf;
 
-use common::serial;
+use common::{grid, serial};
 use oraclesize_graph::families::Family;
 use oraclesize_runtime::{
-    chaos, run_supervised_batch, CellStatus, ChaosPlan, Pool, RunRequest, SuperviseConfig,
-    SweepOptions,
+    chaos, run_supervised_batch, CellStatus, ChaosPlan, Pool, SuperviseConfig, SweepOptions,
 };
-use oraclesize_sim::TraceSpec;
 use proptest::prelude::*;
-
-/// The shared grid, untraced (traced cells are exercised by the
-/// determinism suite; the journal deliberately re-runs them, so resume
-/// tests stay untraced to cover the replay path).
-fn grid(fam: Family, n: usize, seed: u64, cells: usize) -> Vec<RunRequest> {
-    common::grid(fam, n, seed, cells, |_| TraceSpec::Off)
-}
 
 fn temp_journal(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("oraclesize-resume-{}", std::process::id()));
@@ -103,7 +94,6 @@ fn injected_panic_recovers_as_degraded() {
     assert_eq!(sweep.reports(), baseline, "recovered reports are clean");
     assert_eq!(sweep.cells[2].status, CellStatus::Degraded { retries: 2 });
     assert_eq!(sweep.cells[2].attempts, 3);
-    assert!(sweep.cells[2].backoff_ticks > 0, "backoff was accounted");
     assert!(!sweep.any_aborted());
     assert!(sweep.any_degraded());
     assert!(
@@ -148,7 +138,6 @@ fn stall_trips_the_watchdog_and_recovers_on_retry() {
         supervise: SuperviseConfig {
             max_retries: 1,
             cell_timeout: Some(50_000),
-            ..SuperviseConfig::default()
         },
         chaos: ChaosPlan::new().stall_at(1, 1),
         ..SweepOptions::default()

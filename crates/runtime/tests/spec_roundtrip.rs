@@ -15,6 +15,12 @@ fn names() -> sample::Select<String> {
     )
 }
 
+/// Counts the engine and supervisor hold as `u32`; a spec above that
+/// range is invalid, not representable.
+fn u32_count() -> impl Strategy<Value = u64> {
+    0..=u64::from(u32::MAX)
+}
+
 fn option_of(s: impl Strategy<Value = u64>) -> impl Strategy<Value = Option<u64>> {
     (any::<bool>(), s).prop_map(|(some, v)| some.then_some(v))
 }
@@ -91,14 +97,14 @@ fn cells(instance_count: u64) -> impl Strategy<Value = CellSpec> {
             names(),
             0..instance_count,
             names(),
-            option_of(any::<u64>()),
+            option_of(u32_count()),
             sample::select(["broadcast", "wakeup"].map(String::from).to_vec()),
             schedulers(),
         ),
         (
             any::<bool>(),
             option_of(any::<u64>()),
-            option_of(any::<u64>()),
+            option_of(u32_count()),
             any::<u64>(),
             faults(),
         ),
@@ -128,7 +134,7 @@ fn specs() -> impl Strategy<Value = SweepSpec> {
         names(),
         any::<u64>(),
         collection::vec(instances(), 1..4),
-        any::<u64>(),
+        u32_count(),
         option_of(any::<u64>()),
         option_of(any::<u64>()),
     )

@@ -1,45 +1,50 @@
-//! The observability determinism contract: rendered trace JSONL from a
-//! supervised sweep at `--threads` 1, 2, and 8 is byte-identical to the
-//! plain serial loop over `run_cell_report` for the same request list.
+//! The observability determinism contract: trace JSONL streamed from a
+//! cell grid under the work-stealing pool at 1, 2, and 8 threads is
+//! byte-identical to the plain serial loop over the same request list.
 //!
 //! Message ids are assigned in enqueue order by each cell's own engine
 //! run, so a cell's trace never depends on which worker thread executed
 //! it — concatenating per-cell renders in cell order therefore yields one
 //! deterministic artifact.
 
+// Each test binary uses a subset of the shared fixtures.
+#[allow(dead_code)]
 mod common;
 
 use oraclesize_graph::families::Family;
-use oraclesize_runtime::trace::render_jsonl;
-use oraclesize_runtime::{run_supervised_batch, Pool, RunReport, RunRequest, SweepOptions};
-use oraclesize_sim::TraceSpec;
+use oraclesize_runtime::{ChunkPlan, JsonlSink, Pool, RunRequest};
+use oraclesize_sim::run_streamed;
 use proptest::prelude::*;
 
-/// The shared grid with every cell fully traced.
-fn traced_grid(fam: Family, n: usize, seed: u64, cells: usize) -> Vec<RunRequest> {
-    common::grid(fam, n, seed, cells, |_| TraceSpec::Full)
-}
-
-/// Renders every cell's trace as one JSONL artifact, in cell order.
-fn render(reports: &[RunReport]) -> String {
-    let mut out = String::new();
-    for report in reports {
-        if let Some(outcome) = report.outcome() {
-            out.push_str(&render_jsonl(report.cell as u64, &outcome.trace));
-        }
-    }
-    out
+/// Streams one cell's run into its own JSONL sink. A run that aborts
+/// keeps the events it emitted before the error.
+fn render_cell(cell: usize, request: &RunRequest) -> String {
+    let mut sink = JsonlSink::new(cell as u64);
+    let _ = run_streamed(
+        &request.instance,
+        request.protocol.as_ref(),
+        &request.config,
+        &mut sink,
+    );
+    sink.into_string()
 }
 
 /// The reference: each cell run on this thread, rendered in cell order.
 fn render_serial(requests: &[RunRequest]) -> String {
-    render(&common::serial(requests))
+    requests
+        .iter()
+        .enumerate()
+        .map(|(cell, request)| render_cell(cell, request))
+        .collect()
 }
 
-/// The supervised sweep at `threads` workers, rendered.
+/// Every cell streamed under the pool at `threads` workers, concatenated
+/// in cell order.
 fn render_pooled(threads: usize, requests: &[RunRequest]) -> String {
-    let sweep = run_supervised_batch(&Pool::new(threads), requests, &SweepOptions::default());
-    render(&sweep.reports())
+    let pool = Pool::new(threads);
+    let plan = ChunkPlan::balanced(requests.len(), pool.threads());
+    let (cells, _) = pool.run_chunked(&plan, |cell| render_cell(cell, &requests[cell]));
+    cells.concat()
 }
 
 proptest! {
@@ -53,7 +58,7 @@ proptest! {
         n in 4usize..20,
         seed in any::<u64>(),
     ) {
-        let requests = traced_grid(fam, n, seed, 9);
+        let requests = common::grid(fam, n, seed, 9);
         let serial = render_serial(&requests);
         prop_assert!(!serial.is_empty());
         for threads in [1usize, 2, 8] {
@@ -66,7 +71,7 @@ proptest! {
 /// A deterministic pin of the same contract on the T10-style cycle cell.
 #[test]
 fn fixed_traced_grid_is_thread_count_invariant() {
-    let requests = traced_grid(Family::Cycle, 12, 2006, 12);
+    let requests = common::grid(Family::Cycle, 12, 2006, 12);
     let serial = render_serial(&requests);
     assert!(serial.lines().count() > 12, "traces should be non-trivial");
     for line in serial.lines() {

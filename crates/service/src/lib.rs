@@ -39,7 +39,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use oraclesize_bench::grid::CellGrid;
-use oraclesize_runtime::spec::{artifact_json, grid_json};
+use oraclesize_runtime::spec::{artifact_json, grid_json, to_u32};
 use oraclesize_runtime::{
     run_supervised_batch, KnobSpec, Pool, RunReport, SuperviseConfig, SweepOptions, SweepSpec,
 };
@@ -64,12 +64,16 @@ pub fn render_artifact(spec: &SweepSpec, reports: &[RunReport]) -> String {
 }
 
 /// The supervision policy a spec's knobs describe.
-pub(crate) fn supervise_config(knobs: &KnobSpec) -> SuperviseConfig {
-    SuperviseConfig {
-        max_retries: knobs.max_retries as u32,
+///
+/// # Errors
+///
+/// Names `knobs.max_retries` when it exceeds `u32::MAX` (a validated
+/// spec never does).
+pub(crate) fn supervise_config(knobs: &KnobSpec) -> Result<SuperviseConfig, String> {
+    Ok(SuperviseConfig {
+        max_retries: to_u32(knobs.max_retries, "knobs.max_retries")?,
         cell_timeout: knobs.cell_timeout,
-        ..Default::default()
-    }
+    })
 }
 
 /// Runs a spec start-to-finish in this process — the reference the
@@ -81,7 +85,7 @@ pub(crate) fn supervise_config(knobs: &KnobSpec) -> SuperviseConfig {
 pub fn run_local(spec: &SweepSpec, threads: usize) -> Result<String, String> {
     let grid = CellGrid::from_spec(spec)?;
     let opts = SweepOptions {
-        supervise: supervise_config(&spec.knobs),
+        supervise: supervise_config(&spec.knobs)?,
         journal: None,
         resume: false,
         seeds: Some(spec.cells.iter().map(|c| c.seed).collect()),

@@ -22,7 +22,7 @@
 //! Result records carry report bodies in the checkpoint journal's
 //! `{"ok": …}` / `{"err": …}` encoding
 //! ([`oraclesize_runtime::journal::report_json`]), which is lossless for
-//! every untraced report — exactly the reports a service sweep produces.
+//! every report.
 
 use std::io::{self, Read, Write};
 

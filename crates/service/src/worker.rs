@@ -139,7 +139,7 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerOutcome, String> {
                     claimed += 1;
                     let dying = config.die_mid_shard == Some(claimed);
                     let opts = SweepOptions {
-                        supervise: supervise_config(&parsed.knobs),
+                        supervise: supervise_config(&parsed.knobs)?,
                         journal: config
                             .journal_dir
                             .as_ref()

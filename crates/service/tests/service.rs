@@ -241,6 +241,14 @@ fn unbuildable_specs_are_errors_and_the_server_keeps_serving() {
     spec.instances[1].n = 3;
     let err = submit(&addr, &spec.render(), true, 5).unwrap_err();
     assert_eq!(err, "instances[1].n: family \"path\" needs n >= 4, got 3");
+    // A poll count above u32::MAX is rejected, not truncated to 0.
+    let mut spec = tiny_spec("svc-polls", 2);
+    spec.cells[0].quiescence_polls = Some(1 << 32);
+    let err = submit(&addr, &spec.render(), true, 5).unwrap_err();
+    assert_eq!(
+        err,
+        "cells[0].quiescence_polls: 4294967296 exceeds 4294967295"
+    );
     // The same server still accepts, runs and merges a valid job.
     let spec = tiny_spec("svc-after-tiny", 4);
     let local = run_local(&spec, 2).unwrap();

@@ -1,9 +1,8 @@
 //! The driver loop: instantiate schemes, drain the network, poll
 //! quiescence, collect the outcome.
 //!
-//! [`run_with_sink`] is the single underlying implementation; [`run`]
-//! wraps it, materialising the sink requested by
-//! [`SimConfig::trace`](crate::engine::SimConfig::trace). Every other
+//! [`run_with_sink`] is the single underlying implementation; [`run`] is
+//! the same call with a [`NullSink`]. Every other
 //! entry point in the workspace (`sim::run`, `core::execute`,
 //! `runtime::batch`) delegates here.
 
@@ -17,20 +16,15 @@ use crate::engine::delivery::{InFlight, NetState};
 use crate::engine::outcome::{RunOutcome, SimError};
 use crate::protocol::{NodeBehavior, NodeView, Protocol};
 use crate::scheduler::Scheduler;
-use crate::trace::{
-    Delivery, NullSink, Phase, RingSink, Rollup, TraceEvent, TraceSink, TraceSpec, VecSink,
-};
+use crate::trace::{Delivery, NullSink, Phase, Rollup, TraceEvent, TraceSink};
 
 /// Executes `protocol` on `g` from `source` with the given per-node advice.
 ///
 /// Nodes are instantiated in node-id order; `on_start` is invoked in that
 /// order before any delivery. Execution runs to quiescence (no in-flight
-/// messages) and returns the outcome. The trace requested by
-/// [`SimConfig::trace`](crate::engine::SimConfig::trace) is collected into
-/// [`RunOutcome::trace`] (all events for [`TraceSpec::Full`], the retained
-/// tail for [`TraceSpec::Ring`], nothing — and no allocation — for
-/// [`TraceSpec::Off`]). To stream events into your own sink instead, use
-/// [`run_with_sink`].
+/// messages) and returns the outcome. The run is untraced: it drives a
+/// [`NullSink`], so the trace path performs no allocation. To trace it,
+/// pass a sink to [`run_with_sink`].
 ///
 /// # Errors
 ///
@@ -46,32 +40,14 @@ pub fn run(
     protocol: &dyn Protocol,
     config: &SimConfig,
 ) -> Result<RunOutcome, SimError> {
-    match config.trace {
-        TraceSpec::Off => run_with_sink(g, source, advice, protocol, config, &mut NullSink),
-        TraceSpec::Full => {
-            let mut sink = VecSink::new();
-            let mut out = run_with_sink(g, source, advice, protocol, config, &mut sink)?;
-            out.trace = sink.into_events();
-            Ok(out)
-        }
-        TraceSpec::Ring { capacity } => {
-            let mut sink = RingSink::new(capacity);
-            let mut out = run_with_sink(g, source, advice, protocol, config, &mut sink)?;
-            out.trace = sink.tail();
-            Ok(out)
-        }
-    }
+    run_with_sink(g, source, advice, protocol, config, &mut NullSink)
 }
 
 /// [`run`], streaming trace events into a caller-supplied sink.
 ///
-/// This is the single underlying executor. The sink argument wins over
-/// [`SimConfig::trace`](crate::engine::SimConfig::trace) — the spec only
-/// tells [`run`] which stock sink to materialise — and
-/// [`RunOutcome::trace`] comes back empty (the caller owns the events).
-/// Because the caller keeps the sink even when the run aborts with a
-/// [`SimError`], a [`RingSink`] passed here doubles as an error
-/// post-mortem buffer.
+/// This is the single underlying executor. The caller owns the sink and
+/// keeps it even when the run aborts with a [`SimError`], so the events
+/// leading up to the error are still there to inspect.
 ///
 /// # Errors / Panics
 ///
@@ -269,8 +245,6 @@ pub fn run_with_sink(
         metrics: net.metrics,
         informed: net.informed.to_bools(),
         crashed: net.crashed.to_bools(),
-        trace: Vec::new(),
-        trace_stats: net.rec.stats,
         outputs,
     })
 }

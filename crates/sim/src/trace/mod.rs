@@ -10,12 +10,16 @@
 //!   [`Rollup`] records carrying informed-count / message-count /
 //!   frontier-size;
 //! * [`TraceSink`] — the streaming consumer trait. Events are emitted as
-//!   they happen, so a sink with bounded memory (a ring, a line writer)
-//!   traces arbitrarily long runs without accumulating a vector;
-//! * [`NullSink`] / [`VecSink`] / [`RingSink`] — the stock sinks;
-//! * [`TraceStats`] — constant-size per-run tallies, cheap enough to wire
-//!   into every grid cell;
+//!   they happen, so a sink with bounded memory (a line writer) traces
+//!   arbitrarily long runs without accumulating a vector;
+//! * [`NullSink`] / [`VecSink`] — the stock sinks;
 //! * [`diff`] — first-divergence comparison of two rendered trace files.
+//!
+//! A sink passed to [`run_streamed`](crate::run_streamed) (or
+//! [`run_with_sink`](crate::engine::run::run_with_sink)) is the only way
+//! to trace a run. A run's outcome carries counts
+//! ([`RunMetrics`](crate::RunMetrics)), never events, so a trace cannot
+//! leak into a report, a journal record or an artifact.
 //!
 //! # Determinism
 //!
@@ -28,7 +32,7 @@
 //!
 //! # Cost when off
 //!
-//! With [`TraceSpec::Off`] the engine drives a [`NullSink`]: every emission
+//! Untraced runs ([`run`](crate::run)) drive a [`NullSink`]: every emission
 //! site is guarded by one boolean test and the trace path performs **zero
 //! allocations** — the same discipline as the zero-clone delivery path
 //! (`payload_copies == 0` on fault-free runs).
@@ -46,7 +50,7 @@ pub mod diff;
 pub mod sink;
 
 pub use diff::{diff_lines, Divergence, TraceDiff};
-pub use sink::{NullSink, RingSink, TraceSink, VecSink};
+pub use sink::{NullSink, TraceSink, VecSink};
 
 use oraclesize_graph::{NodeId, Port};
 
@@ -206,105 +210,24 @@ impl TraceEvent {
     }
 }
 
-/// Constant-size tallies of an emitted trace, kept even when the events
-/// themselves stream through a bounded sink. All-zero when tracing is off.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceStats {
-    /// Total events emitted.
-    pub events: u64,
-    /// [`TraceEvent::Enqueue`] count.
-    pub enqueued: u64,
-    /// [`TraceEvent::Deliver`] count.
-    pub delivered: u64,
-    /// [`TraceEvent::Drop`] count (lost + to-crashed).
-    pub dropped: u64,
-    /// [`TraceEvent::Corrupt`] count.
-    pub corrupted: u64,
-    /// [`TraceEvent::Wake`] count.
-    pub wakes: u64,
-    /// [`TraceEvent::Rollup`] count.
-    pub rollups: u64,
-}
-
-impl TraceStats {
-    /// Folds one event into the tallies.
-    pub fn absorb(&mut self, event: &TraceEvent) {
-        self.events += 1;
-        match event {
-            TraceEvent::Enqueue { .. } => self.enqueued += 1,
-            TraceEvent::Deliver(_) => self.delivered += 1,
-            TraceEvent::Drop { .. } => self.dropped += 1,
-            TraceEvent::Corrupt { .. } => self.corrupted += 1,
-            TraceEvent::Wake { .. } => self.wakes += 1,
-            TraceEvent::Rollup(_) => self.rollups += 1,
-            TraceEvent::PhaseStart { .. } | TraceEvent::Quiescence { .. } => {}
-        }
-    }
-
-    /// Tallies a finished event slice (e.g. a collected [`VecSink`]).
-    pub fn tally(events: &[TraceEvent]) -> Self {
-        let mut stats = TraceStats::default();
-        for e in events {
-            stats.absorb(e);
-        }
-        stats
-    }
-}
-
-/// What kind of trace a [`SimConfig`](crate::engine::SimConfig) requests.
-///
-/// This is the *cloneable spec* carried by configs (and thus by batch
-/// [`RunRequest`](../../oraclesize_runtime/struct.RunRequest.html)s); the
-/// engine materialises the matching sink per run. To stream into your own
-/// sink instead, call [`run_streamed`](crate::run_streamed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceSpec {
-    /// No tracing: the engine drives a [`NullSink`]; the trace path does
-    /// not allocate.
-    #[default]
-    Off,
-    /// Collect every event into [`RunOutcome::trace`](crate::RunOutcome::trace).
-    Full,
-    /// Keep only the last `capacity` events — bounded-memory post-mortems
-    /// for `Degraded` or error outcomes.
-    Ring {
-        /// Events retained.
-        capacity: usize,
-    },
-}
-
-impl TraceSpec {
-    /// `true` unless the spec is [`TraceSpec::Off`].
-    pub fn is_on(&self) -> bool {
-        !matches!(self, TraceSpec::Off)
-    }
-}
-
 /// Engine-side wrapper around a sink: caches `enabled()` so the hot path
-/// pays one branch, and tallies [`TraceStats`] alongside emission.
+/// pays one branch.
 pub(crate) struct Recorder<'a> {
     sink: &'a mut dyn TraceSink,
     /// Cached `sink.enabled()`; emission sites may pre-check this to skip
     /// computing event fields (e.g. the per-round informed scan).
     pub on: bool,
-    /// Tallies of everything emitted through this recorder.
-    pub stats: TraceStats,
 }
 
 impl<'a> Recorder<'a> {
     pub fn new(sink: &'a mut dyn TraceSink) -> Self {
         let on = sink.enabled();
-        Recorder {
-            sink,
-            on,
-            stats: TraceStats::default(),
-        }
+        Recorder { sink, on }
     }
 
     #[inline]
     pub fn emit(&mut self, event: TraceEvent) {
         if self.on {
-            self.stats.absorb(&event);
             self.sink.emit(event);
         }
     }
@@ -333,54 +256,6 @@ mod tests {
             .kind(),
             "rollup"
         );
-    }
-
-    #[test]
-    fn stats_tally_matches_absorb() {
-        let events = [
-            TraceEvent::Enqueue {
-                msg: 0,
-                from: 0,
-                to: 1,
-                bits: 0,
-                carries_source: true,
-            },
-            TraceEvent::Deliver(Delivery {
-                msg: 0,
-                step: 0,
-                from: 0,
-                to: 1,
-                arrival_port: 0,
-                bits: 0,
-                carries_source: true,
-            }),
-            TraceEvent::Wake {
-                node: 1,
-                step: 0,
-                msg: 0,
-            },
-            TraceEvent::Drop {
-                msg: 1,
-                from: 1,
-                to: 0,
-                fault: DropFault::Lost,
-            },
-        ];
-        let stats = TraceStats::tally(&events);
-        assert_eq!(stats.events, 4);
-        assert_eq!(stats.enqueued, 1);
-        assert_eq!(stats.delivered, 1);
-        assert_eq!(stats.wakes, 1);
-        assert_eq!(stats.dropped, 1);
-        assert_eq!(stats.corrupted, 0);
-    }
-
-    #[test]
-    fn off_spec_is_default_and_off() {
-        assert_eq!(TraceSpec::default(), TraceSpec::Off);
-        assert!(!TraceSpec::Off.is_on());
-        assert!(TraceSpec::Full.is_on());
-        assert!(TraceSpec::Ring { capacity: 4 }.is_on());
     }
 
     #[test]

@@ -209,7 +209,7 @@ pub struct SubmitArgs {
 }
 
 /// The instance and execution flags `run`, `sweep` and `trace` share,
-/// parsed once by [`CommonArgs::parse`].
+/// parsed once by `CommonArgs::parse`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommonArgs {
     /// Graph family.
@@ -918,7 +918,6 @@ fn run_sweep(args: &SweepArgs) -> Result<(String, bool), String> {
         supervise: SuperviseConfig {
             max_retries: args.max_retries,
             cell_timeout: args.cell_timeout,
-            ..SuperviseConfig::default()
         },
         journal: args.journal.as_ref().map(std::path::PathBuf::from),
         resume: args.resume,
@@ -1635,6 +1634,26 @@ mod tests {
         assert!(jsonl.contains("\"kind\": \"rollup\""), "{jsonl}");
         // Same arguments, same bytes: the artifact is reproducible.
         assert_eq!(jsonl, run());
+    }
+
+    /// The JSONL of CI's `trace --task broadcast --family hypercube --n 32`
+    /// invocation is pinned across commits by its FNV-1a 64 digest.
+    #[test]
+    fn trace_jsonl_bytes_are_pinned() {
+        let argv = [
+            "trace",
+            "--task",
+            "broadcast",
+            "--family",
+            "hypercube",
+            "--n",
+            "32",
+        ];
+        let jsonl = run_command(&parse_args(&args(&argv)).unwrap()).unwrap();
+        assert_eq!(
+            oraclesize_runtime::journal::fnv1a64(jsonl.as_bytes()),
+            0x76de_b4b7_a052_e591
+        );
     }
 
     /// `trace` as it was before it lowered through a spec: the graph,
