@@ -32,7 +32,7 @@ use oraclesize_sim::{advice_size, Oracle, SchedulerKind, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::grid::{emit_json, CellGrid, ExpOptions};
+use crate::grid::{emit_json, subdivided_clique_size, CellGrid, ExpOptions};
 use crate::harness::{size_sweep, Report, MASTER_SEED, SWEEP_FAMILIES};
 
 /// Experiment ids in canonical order.
@@ -1428,8 +1428,8 @@ pub fn t20_fault_robustness(opts: &ExpOptions) -> Result<String, String> {
     // coverage. The engine corrupts a private copy of the shared advice,
     // so one instance serves every cell.
     let corruption = CellGrid::from_spec(&t20_corruption_spec())?;
-    let n = corruption.requests()[0].instance.graph.num_nodes() as u64;
     let corruption_sweep = corruption.dispatch(opts, "t20-corruption")?;
+    let n = corruption.requests()[0].instance().graph.num_nodes() as u64;
     let corruption_reports = corruption_sweep.reports();
 
     let mut table = Table::new([
@@ -1720,12 +1720,6 @@ fn scale_orders(large: bool) -> Vec<usize> {
     orders
 }
 
-/// Node count of the fully subdivided clique `K*_b`: the `b` original
-/// nodes plus one subdivision node per edge of `K_b`.
-fn subdivided_clique_nodes(b: usize) -> usize {
-    b + b * (b - 1) / 2
-}
-
 /// The SCALE curve as a spec: wakeup on fully subdivided cliques,
 /// tree-advice vs no-advice flooding; `large` appends the million-node
 /// order. Subdividing *every* edge of `K*_b` gives the densest `G_{n,S}`,
@@ -1734,7 +1728,7 @@ fn subdivided_clique_nodes(b: usize) -> usize {
 pub fn scale_spec(large: bool) -> SweepSpec {
     let mut spec = SweepSpec::new("scale", MASTER_SEED);
     for b in scale_orders(large) {
-        let nodes = subdivided_clique_nodes(b);
+        let (nodes, _) = subdivided_clique_size(b);
         for (scheme, oracle) in [("tree-wakeup", "spanning-tree"), ("flood", "empty")] {
             let instance = spec.instances.len() as u64;
             spec.instances.push(InstanceSpec {
@@ -1795,7 +1789,7 @@ pub fn scale_curve(opts: &ExpOptions) -> Result<String, String> {
     let grid = CellGrid::from_spec(&scale_spec(opts.large))?;
     let mut meta = Vec::new();
     for b in scale_orders(opts.large) {
-        let nodes = subdivided_clique_nodes(b);
+        let (nodes, _) = subdivided_clique_size(b);
         meta.push(("tree-wakeup", b, nodes));
         meta.push(("flood", b, nodes));
     }

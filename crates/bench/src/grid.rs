@@ -8,7 +8,7 @@
 //! any thread count (the runtime's determinism contract).
 
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use oraclesize_core::broadcast::{LightTreeOracle, SchemeB};
 use oraclesize_core::oracle::EmptyOracle;
@@ -18,7 +18,7 @@ use oraclesize_graph::families::{self, Family};
 use oraclesize_graph::{gadgets, PortGraph};
 use oraclesize_runtime::spec::{artifact_json, from_ppm, grid_json, to_u32};
 use oraclesize_runtime::{
-    run_supervised_batch, ChaosPlan, Json, Pool, RunReport, RunRequest, SchedStats,
+    run_supervised_batch, ChaosPlan, InstanceSlot, Json, Pool, RunReport, RunRequest, SchedStats,
     SuperviseConfig, SweepOptions, SweepRun, SweepSpec,
 };
 use oraclesize_sim::protocol::{FloodOnce, Protocol};
@@ -87,54 +87,66 @@ pub struct CellGrid {
 }
 
 impl CellGrid {
-    /// Appends one cell; its scheduling cost hint comes from the
-    /// request's instance size ([`RunRequest::cost_hint`]).
-    fn add_cell(&mut self, label: String, request: RunRequest) {
-        self.labels.push(label);
-        self.costs.push(request.cost_hint());
-        self.requests.push(request);
-    }
-
-    /// Materializes the grid a [`SweepSpec`] describes: graphs are built
-    /// (and `Arc`-shared between instances with identical construction
-    /// parameters), oracles label them, and every cell becomes a
-    /// [`RunRequest`] in spec order. This is the only construction path —
-    /// the bench experiments, the `sweep` CLI, and the sweep service all
-    /// funnel through it, which is what makes their artifacts comparable.
+    /// Lowers the grid a [`SweepSpec`] describes, building only what
+    /// validation and costing need. Every check runs now, with the first
+    /// error naming the offending spec path. Every cell becomes a
+    /// [`RunRequest`] in spec order, whose cost hint is its graph's
+    /// `nodes + edges`.
+    ///
+    /// What is built, and when:
+    /// - **Now, in closed form:** the size of every family whose size
+    ///   does not depend on its RNG ([`Family::size`], and
+    ///   `subdivided-clique`). Nothing is built for these.
+    /// - **Now, built:** the graphs of `random-connected`,
+    ///   `random-sparse` and `random-dense`, whose exact edge count only
+    ///   a build knows. Their advice is not built.
+    /// - **Later, once:** each instance (graph plus oracle advice) is an
+    ///   [`InstanceSlot`] shared by the cells that reference it, and
+    ///   instances share graphs with identical construction parameters.
+    ///   [`run_supervised_shard`](oraclesize_runtime::run_supervised_shard)
+    ///   builds the slots of exactly the cells it is about to run, so a
+    ///   resume from a complete journal builds nothing and a service
+    ///   worker builds only its own shard's instances.
+    ///
+    /// This is the only construction path — the bench experiments, the
+    /// `sweep` CLI, and the sweep service all funnel through it, which is
+    /// what makes their artifacts comparable.
     ///
     /// # Errors
     ///
     /// Returns a first-error message naming the offending spec path for
-    /// unknown family/oracle/scheme names, an out-of-range source node,
-    /// or an invalid cell configuration.
+    /// unknown family/oracle/scheme names, a size or edge probability a
+    /// family cannot build, an out-of-range source node, or an invalid
+    /// cell configuration.
     pub fn from_spec(spec: &SweepSpec) -> Result<CellGrid, String> {
         spec.validate()?;
-        let mut graphs: Vec<(String, Arc<PortGraph>)> = Vec::new();
+        let mut graphs: Vec<(String, Arc<GraphSlot>)> = Vec::new();
         let mut instances = Vec::with_capacity(spec.instances.len());
         for (i, inst) in spec.instances.iter().enumerate() {
             let key = format!("{}/{}/{}/{:?}", inst.family, inst.n, inst.seed, inst.p_ppm);
-            let g = match graphs.iter().find(|(k, _)| *k == key) {
+            let graph = match graphs.iter().find(|(k, _)| *k == key) {
                 Some((_, g)) => Arc::clone(g),
                 None => {
                     let g = Arc::new(
-                        build_family(&inst.family, inst.n as usize, inst.seed, inst.p_ppm)
+                        GraphSlot::new(&inst.family, inst.n as usize, inst.seed, inst.p_ppm)
                             .map_err(|e| format!("instances[{i}].{e}"))?,
                     );
                     graphs.push((key, Arc::clone(&g)));
                     g
                 }
             };
-            if inst.source >= g.num_nodes() as u64 {
+            if inst.source >= graph.nodes as u64 {
                 return Err(format!(
                     "instances[{i}].source: node {} out of range ({} nodes)",
-                    inst.source,
-                    g.num_nodes()
+                    inst.source, graph.nodes
                 ));
             }
-            instances.push(
-                build_instance(g, inst.source as usize, &inst.oracle)
-                    .map_err(|e| format!("instances[{i}].{e}"))?,
-            );
+            let advise =
+                instance_builder(&inst.oracle).map_err(|e| format!("instances[{i}].{e}"))?;
+            let cost = graph.nodes.saturating_add(graph.edges) as u64;
+            let source = inst.source as usize;
+            let slot = InstanceSlot::lazy(move || advise(graph.graph(), source));
+            instances.push((slot, cost));
         }
         let mut protocols: ProtocolCache = Vec::new();
         let mut grid = CellGrid::default();
@@ -150,11 +162,11 @@ impl CellGrid {
                 }
             };
             let config = cell.sim_config().map_err(|e| format!("cells[{i}]: {e}"))?;
-            let instance = Arc::clone(&instances[cell.instance as usize]);
-            grid.add_cell(
-                cell.label.clone(),
-                RunRequest::new(instance, protocol, config),
-            );
+            let (slot, cost) = &instances[cell.instance as usize];
+            grid.labels.push(cell.label.clone());
+            grid.costs.push(*cost);
+            grid.requests
+                .push(RunRequest::in_slot(Arc::clone(slot), protocol, config));
         }
         Ok(grid)
     }
@@ -164,7 +176,9 @@ impl CellGrid {
         &self.costs
     }
 
-    /// The cell requests, in cell order.
+    /// The cell requests, in cell order. An instance is built the first
+    /// time one of its cells is run or asked for it
+    /// ([`RunRequest::instance`]).
     pub fn requests(&self) -> &[RunRequest] {
         &self.requests
     }
@@ -228,63 +242,138 @@ impl CellGrid {
     }
 }
 
-/// Builds a named graph family. Beyond [`Family::ALL`] two spec-only
-/// names exist: `"random-connected"` (takes `p_ppm`) and
-/// `"subdivided-clique"` (every edge of `K*_n` subdivided, no RNG) — the
-/// constructions T10/T20 and the SCALE curve sweep. A size or edge
-/// probability the family is not defined for is an error, not a panic.
-fn build_family(
-    family: &str,
-    n: usize,
-    seed: u64,
-    p_ppm: Option<u64>,
-) -> Result<PortGraph, String> {
-    let min_n = |k: usize| {
-        if n < k {
-            Err(format!("n: family {family:?} needs n >= {k}, got {n}"))
-        } else {
-            Ok(())
-        }
-    };
-    if let Some(fam) = Family::ALL.iter().find(|f| f.name() == family) {
-        min_n(Family::MIN_NODES)?;
-        return Ok(fam.build(n, &mut StdRng::seed_from_u64(seed)));
-    }
-    match family {
-        "random-connected" => {
-            let p = p_ppm
-                .ok_or_else(|| "p_ppm: required by family \"random-connected\"".to_string())?;
-            if p > 1_000_000 {
-                return Err(format!(
-                    "p_ppm: family {family:?} needs p_ppm <= 1000000, got {p}"
-                ));
+/// How a spec family name builds its graph, checked against the spec's
+/// size and edge probability. Beyond [`Family::ALL`] two spec-only names
+/// exist: `"random-connected"` (takes `p_ppm`) and `"subdivided-clique"`
+/// (every edge of `K*_n` subdivided, no RNG) — the constructions T10/T20
+/// and the SCALE curve sweep.
+#[derive(Clone, Copy)]
+enum Recipe {
+    Family(Family),
+    RandomConnected(f64),
+    SubdividedClique,
+}
+
+impl Recipe {
+    /// The recipe for `family` at size `n`. A size or edge probability
+    /// the family is not defined for is an error, not a panic.
+    fn parse(family: &str, n: usize, p_ppm: Option<u64>) -> Result<Recipe, String> {
+        let min_n = |k: usize| {
+            if n < k {
+                Err(format!("n: family {family:?} needs n >= {k}, got {n}"))
+            } else {
+                Ok(())
             }
-            min_n(1)?;
-            Ok(families::random_connected(
-                n,
-                from_ppm(p),
-                &mut StdRng::seed_from_u64(seed),
-            ))
+        };
+        if let Some(&fam) = Family::ALL.iter().find(|f| f.name() == family) {
+            min_n(Family::MIN_NODES)?;
+            return Ok(Recipe::Family(fam));
         }
-        "subdivided-clique" => {
-            min_n(2)?;
-            let base = families::complete_rotational(n);
-            let edges: Vec<_> = base.edges().collect();
-            Ok(gadgets::subdivide_edges(&base, &edges))
+        match family {
+            "random-connected" => {
+                let p = p_ppm
+                    .ok_or_else(|| "p_ppm: required by family \"random-connected\"".to_string())?;
+                if p > 1_000_000 {
+                    return Err(format!(
+                        "p_ppm: family {family:?} needs p_ppm <= 1000000, got {p}"
+                    ));
+                }
+                min_n(1)?;
+                Ok(Recipe::RandomConnected(from_ppm(p)))
+            }
+            "subdivided-clique" => {
+                min_n(2)?;
+                Ok(Recipe::SubdividedClique)
+            }
+            other => Err(format!("family: unknown family {other:?}")),
         }
-        other => Err(format!("family: unknown family {other:?}")),
+    }
+
+    /// The built graph's `(nodes, edges)` in closed form, or `None` when
+    /// the RNG decides the edge count.
+    fn size(self, n: usize) -> Option<(usize, usize)> {
+        match self {
+            Recipe::Family(fam) => fam.size(n),
+            Recipe::RandomConnected(_) => None,
+            Recipe::SubdividedClique => Some(subdivided_clique_size(n)),
+        }
+    }
+
+    fn build(self, n: usize, seed: u64) -> PortGraph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        match self {
+            Recipe::Family(fam) => fam.build(n, &mut rng),
+            Recipe::RandomConnected(p) => families::random_connected(n, p, &mut rng),
+            Recipe::SubdividedClique => {
+                let base = families::complete_rotational(n);
+                let edges: Vec<_> = base.edges().collect();
+                gadgets::subdivide_edges(&base, &edges)
+            }
+        }
     }
 }
 
-/// Labels a graph with a named oracle and packages the shared instance.
-fn build_instance(g: Arc<PortGraph>, source: usize, oracle: &str) -> Result<Arc<Instance>, String> {
-    Ok(match oracle {
-        "empty" => Instance::build(g, source, &EmptyOracle),
-        "spanning-tree" => Instance::build(g, source, &SpanningTreeOracle::default()),
-        "light-tree" => Instance::build(g, source, &LightTreeOracle),
-        "robust-wakeup" => Instance::build(g, source, &RobustWakeupOracle::default()),
+/// `(nodes, edges)` of the fully subdivided clique `K*_b`: the `b`
+/// original nodes plus one subdivision node per edge of `K_b`, and two
+/// edges per subdivided edge. Saturates rather than wraps for a `b` no
+/// machine could build, as [`Family::size`] does.
+pub(crate) fn subdivided_clique_size(b: usize) -> (usize, usize) {
+    let edges = b.saturating_mul(b - 1);
+    (b.saturating_add(edges / 2), edges)
+}
+
+/// One spec graph, shared by every instance with its construction
+/// parameters and built at most once. Its size is known up front: in
+/// closed form, or by building the graph now when the RNG decides it.
+struct GraphSlot {
+    recipe: Recipe,
+    n: usize,
+    seed: u64,
+    nodes: usize,
+    edges: usize,
+    graph: OnceLock<Arc<PortGraph>>,
+}
+
+impl GraphSlot {
+    fn new(family: &str, n: usize, seed: u64, p_ppm: Option<u64>) -> Result<GraphSlot, String> {
+        let recipe = Recipe::parse(family, n, p_ppm)?;
+        let mut slot = GraphSlot {
+            recipe,
+            n,
+            seed,
+            nodes: 0,
+            edges: 0,
+            graph: OnceLock::new(),
+        };
+        let (nodes, edges) = recipe.size(n).unwrap_or_else(|| {
+            let g = slot.graph();
+            (g.num_nodes(), g.num_edges())
+        });
+        (slot.nodes, slot.edges) = (nodes, edges);
+        Ok(slot)
+    }
+
+    fn graph(&self) -> Arc<PortGraph> {
+        Arc::clone(
+            self.graph
+                .get_or_init(|| Arc::new(self.recipe.build(self.n, self.seed))),
+        )
+    }
+}
+
+/// How a named oracle labels a graph into a shared instance.
+type Advise = fn(Arc<PortGraph>, usize) -> Arc<Instance>;
+
+/// The named oracle's instance builder; nothing runs until it is called.
+fn instance_builder(oracle: &str) -> Result<Advise, String> {
+    let advise: Advise = match oracle {
+        "empty" => |g, source| Instance::build(g, source, &EmptyOracle),
+        "spanning-tree" => |g, source| Instance::build(g, source, &SpanningTreeOracle::default()),
+        "light-tree" => |g, source| Instance::build(g, source, &LightTreeOracle),
+        "robust-wakeup" => |g, source| Instance::build(g, source, &RobustWakeupOracle::default()),
         other => return Err(format!("oracle: unknown oracle {other:?}")),
-    })
+    };
+    Ok(advise)
 }
 
 /// Instantiates a named scheme.
@@ -333,7 +422,7 @@ pub fn emit_json(opts: &ExpOptions, id: &str, body: Json) -> Result<Option<PathB
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oraclesize_runtime::{CellSpec, FaultSpec, InstanceSpec};
+    use oraclesize_runtime::{run_supervised_shard, CellSpec, CellStatus, FaultSpec, InstanceSpec};
 
     fn tiny_spec() -> SweepSpec {
         let mut spec = SweepSpec::new("t0", 2006);
@@ -408,10 +497,32 @@ mod tests {
             spec.instances[0].p_ppm = p_ppm;
         }
         type Mutate = fn(&mut SweepSpec);
-        let cases: [(Mutate, &str); 8] = [
+        let cases: [(Mutate, &str); 11] = [
             (
                 |s| instance(s, "path", 3, None),
                 "instances[0].n: family \"path\" needs n >= 4, got 3",
+            ),
+            // Checked without building anything (see `huge_instance`).
+            (
+                |s| {
+                    huge_instance(s);
+                    s.instances[0].source = 500_000_500_000;
+                },
+                "instances[0].source: node 500000500000 out of range (500000500000 nodes)",
+            ),
+            (
+                |s| {
+                    huge_instance(s);
+                    s.instances[0].oracle = "crystal-ball".to_string();
+                },
+                "instances[0].oracle: unknown oracle \"crystal-ball\"",
+            ),
+            (
+                |s| {
+                    huge_instance(s);
+                    s.cells[3].scheme = "telepathy".to_string();
+                },
+                "cells[3].scheme: unknown scheme \"telepathy\"",
             ),
             (
                 |s| instance(s, "subdivided-clique", 1, None),
@@ -455,6 +566,158 @@ mod tests {
         }
     }
 
+    /// A subdivided `K_1_000_000` has 500_000_500_000 nodes: only the
+    /// closed form can size it, a build would never finish.
+    fn huge_instance(spec: &mut SweepSpec) {
+        spec.instances[0].family = "subdivided-clique".to_string();
+        spec.instances[0].n = 1_000_000;
+    }
+
+    #[test]
+    fn from_spec_lowers_and_costs_without_building() {
+        let mut spec = tiny_spec();
+        huge_instance(&mut spec);
+        let grid = CellGrid::from_spec(&spec).expect("valid spec lowers");
+        assert!(grid.requests().iter().all(|r| !r.is_built()));
+        assert_eq!(grid.costs(), [500_000_500_000 + 999_999_000_000; 4]);
+        // Past usize, the size saturates rather than wrapping.
+        spec.instances[0].n = u64::MAX;
+        let grid = CellGrid::from_spec(&spec).expect("valid spec lowers");
+        assert_eq!(grid.costs(), [u64::MAX; 4]);
+        assert_eq!(
+            oraclesize_runtime::ChunkPlan::from_costs(grid.costs(), 2).jobs(),
+            4
+        );
+    }
+
+    #[test]
+    fn subdivided_clique_closed_form_matches_the_built_graph() {
+        for b in 2..40 {
+            let g = Recipe::SubdividedClique.build(b, 0);
+            let (nodes, edges) = subdivided_clique_size(b);
+            assert_eq!((g.num_nodes(), g.num_edges()), (nodes, edges), "b={b}");
+            assert_eq!(Recipe::SubdividedClique.size(b), Some((nodes, edges)));
+        }
+        let random = Recipe::parse("random-connected", 8, Some(500_000)).unwrap();
+        assert_eq!(random.size(8), None);
+    }
+
+    /// Cost hints are `nodes + edges` of the fully built instances, so
+    /// chunk and shard plans are those of an eager build.
+    #[test]
+    fn costs_equal_built_instance_sizes() {
+        use crate::experiments::{
+            scale_spec, t10_spec, t20_corruption_spec, t20_crashes_spec, t20_drops_spec,
+        };
+        for spec in [
+            scale_spec(false),
+            t10_spec(),
+            t20_corruption_spec(),
+            t20_drops_spec(),
+            t20_crashes_spec(),
+        ] {
+            let grid = CellGrid::from_spec(&spec).expect("committed spec lowers");
+            let built: Vec<u64> = grid
+                .requests()
+                .iter()
+                .map(|r| (r.instance().graph.num_nodes() + r.instance().graph.num_edges()) as u64)
+                .collect();
+            assert_eq!(grid.costs(), built, "{}", spec.name);
+        }
+    }
+
+    /// Three instances over distinct graphs; cell `i` runs instance
+    /// `i / 2`, so every instance is referenced by two adjacent cells.
+    fn three_instance_spec() -> SweepSpec {
+        let mut spec = tiny_spec();
+        spec.instances[0].n = 5;
+        for n in [7, 9] {
+            spec.instances.push(InstanceSpec {
+                n,
+                ..spec.instances[0].clone()
+            });
+        }
+        let cell = spec.cells[0].clone();
+        spec.cells = (0..6u64)
+            .map(|i| CellSpec {
+                label: format!("cell-{i}"),
+                instance: i / 2,
+                seed: i,
+                ..cell.clone()
+            })
+            .collect();
+        spec
+    }
+
+    fn built(grid: &CellGrid) -> Vec<bool> {
+        grid.requests().iter().map(RunRequest::is_built).collect()
+    }
+
+    #[test]
+    fn a_resume_from_a_complete_journal_builds_nothing() {
+        let dir = std::env::temp_dir().join(format!("oraclesize-grid-lazy-{}", std::process::id()));
+        let spec = three_instance_spec();
+        let opts = ExpOptions {
+            journal_dir: Some(dir.clone()),
+            threads: 2,
+            ..Default::default()
+        };
+        let first = CellGrid::from_spec(&spec).unwrap();
+        let baseline = run(&first, &opts);
+        assert_eq!(built(&first), [true; 6]);
+
+        let fresh = CellGrid::from_spec(&spec).unwrap();
+        let resumed = fresh
+            .dispatch(
+                &ExpOptions {
+                    resume: true,
+                    ..opts
+                },
+                "t0",
+            )
+            .expect("not interrupted");
+        assert!(resumed
+            .cells
+            .iter()
+            .all(|c| c.status == CellStatus::Resumed));
+        assert_eq!(resumed.reports(), baseline);
+        assert_eq!(built(&fresh), [false; 6]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_shard_builds_exactly_the_instances_its_cells_reference() {
+        let spec = three_instance_spec();
+        let pool = Pool::new(2);
+        // Cells 1..3 reference instances 0 and 1; cells 0 and 3 share
+        // those slots, cells 4 and 5 (instance 2) stay unbuilt.
+        let grid = CellGrid::from_spec(&spec).unwrap();
+        let opts = SweepOptions {
+            costs: Some(grid.costs()[1..3].to_vec()),
+            ..Default::default()
+        };
+        let run = run_supervised_shard(&pool, &grid.requests()[1..3], 1, 6, &opts);
+        assert!(!run.interrupted);
+        assert_eq!(built(&grid), [true, true, true, true, false, false]);
+    }
+
+    #[test]
+    fn a_cell_past_the_chaos_kill_point_is_not_built() {
+        let grid = CellGrid::from_spec(&three_instance_spec()).unwrap();
+        let err = grid
+            .dispatch(
+                &ExpOptions {
+                    chaos: ChaosPlan::new().die_before(4),
+                    ..Default::default()
+                },
+                "t0",
+            )
+            .map(|_| ())
+            .unwrap_err();
+        assert!(err.starts_with("t0 interrupted mid-sweep"), "{err}");
+        assert_eq!(built(&grid), [true, true, true, true, false, false]);
+    }
+
     #[test]
     fn from_spec_shares_graphs_between_instances() {
         let mut spec = tiny_spec();
@@ -468,8 +731,8 @@ mod tests {
         spec.cells[1].mode = "wakeup".to_string();
         let grid = CellGrid::from_spec(&spec).expect("spec materializes");
         assert!(Arc::ptr_eq(
-            &grid.requests()[0].instance.graph,
-            &grid.requests()[1].instance.graph
+            &grid.requests()[0].instance().graph,
+            &grid.requests()[1].instance().graph
         ));
     }
 

@@ -378,11 +378,10 @@ impl Family {
             Family::Path => path(n),
             Family::Cycle => cycle(n),
             Family::Complete => complete_rotational(n),
-            Family::Hypercube => hypercube((usize::BITS - 1 - n.leading_zeros()).min(20)),
+            Family::Hypercube => hypercube(hypercube_dim(n)),
             Family::Grid => {
-                let w = (n as f64).sqrt().round() as usize;
-                let w = w.max(2);
-                grid(w, n.div_ceil(w).max(2))
+                let (w, h) = near_square(n, 2);
+                grid(w, h)
             }
             Family::Lollipop => lollipop(n),
             Family::BinaryTree => binary_tree(n),
@@ -393,13 +392,66 @@ impl Family {
             Family::RandomDense => random_connected(n, 0.3, rng),
             Family::RandomTree => random_tree(n, rng),
             Family::Torus => {
-                let w = ((n as f64).sqrt().round() as usize).max(3);
-                torus(w, (n.div_ceil(w)).max(3))
+                let (w, h) = near_square(n, 3);
+                torus(w, h)
             }
             Family::Star => star(n),
             Family::Caterpillar => caterpillar(n),
         }
     }
+
+    /// The `(nodes, edges)` of [`build`](Self::build)`(n, _)` in closed
+    /// form, without building anything; `None` for the two families whose
+    /// edge count depends on the RNG ([`RandomSparse`](Self::RandomSparse)
+    /// and [`RandomDense`](Self::RandomDense)). Defined for the same `n`
+    /// as `build`; a count past `usize::MAX` saturates instead of
+    /// wrapping, so no size a caller asks about can overflow.
+    pub fn size(&self, n: usize) -> Option<(usize, usize)> {
+        Some(match self {
+            Family::Path
+            | Family::BinaryTree
+            | Family::RandomTree
+            | Family::Star
+            | Family::Caterpillar => (n, n - 1),
+            Family::Cycle => (n, n),
+            Family::Complete => (n, n.saturating_mul(n - 1) / 2),
+            Family::Hypercube => {
+                let d = hypercube_dim(n);
+                (1 << d, (d as usize) << (d - 1))
+            }
+            Family::Grid => {
+                let (w, h) = near_square(n, 2);
+                let horizontal = (w - 1).saturating_mul(h);
+                (
+                    w.saturating_mul(h),
+                    horizontal.saturating_add(w.saturating_mul(h - 1)),
+                )
+            }
+            Family::Lollipop => {
+                let k = n.div_ceil(2);
+                (n, k.saturating_mul(k - 1) / 2 + (n - k))
+            }
+            Family::Torus => {
+                let (w, h) = near_square(n, 3);
+                let nodes = w.saturating_mul(h);
+                (nodes, nodes.saturating_mul(2))
+            }
+            Family::RandomSparse | Family::RandomDense => return None,
+        })
+    }
+}
+
+/// The hypercube dimension [`Family::Hypercube`] builds for `n`:
+/// `⌊log2 n⌋`, capped at 20.
+fn hypercube_dim(n: usize) -> u32 {
+    (usize::BITS - 1 - n.leading_zeros()).min(20)
+}
+
+/// The `w × h` shape [`Family::Grid`] and [`Family::Torus`] build for `n`:
+/// `w = round(√n)`, `h = ⌈n / w⌉`, each at least `min`.
+fn near_square(n: usize, min: usize) -> (usize, usize) {
+    let w = ((n as f64).sqrt().round() as usize).max(min);
+    (w, n.div_ceil(w).max(min))
 }
 
 #[cfg(test)]
@@ -544,6 +596,23 @@ mod tests {
                 assert!(g.is_connected(), "{} n={n}", fam.name());
                 assert!(g.num_nodes() >= 4, "{} n={n}", fam.name());
             }
+        }
+    }
+
+    #[test]
+    fn closed_form_sizes_match_built_graphs() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for fam in Family::ALL {
+            for n in (Family::MIN_NODES..=70).chain([100, 255, 256, 257, 1000]) {
+                let g = fam.build(n, &mut rng);
+                let want = Some((g.num_nodes(), g.num_edges()));
+                match fam {
+                    Family::RandomSparse | Family::RandomDense => assert_eq!(fam.size(n), None),
+                    _ => assert_eq!(fam.size(n), want, "{} n={n}", fam.name()),
+                }
+            }
+            // Sizes no machine could build saturate instead of overflowing.
+            fam.size(usize::MAX);
         }
     }
 

@@ -1,22 +1,65 @@
 //! The cell API: `RunRequest` in, `RunReport` out. Sweeps run cells
 //! through [`crate::supervise::run_supervised_batch`].
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use oraclesize_sim::engine::{Completion, RunOutcome, SimConfig};
 use oraclesize_sim::protocol::Protocol;
 use oraclesize_sim::{run, Instance, RunMetrics};
 
+/// One instance of a grid, built at most once: the `(graph, advice)`
+/// pair plus the builder that makes it, shared by every cell that
+/// references the instance.
+///
+/// A grid lowered from a spec holds only unbuilt slots; the supervised
+/// batch builds the slots of the cells it is about to run
+/// ([`crate::run_supervised_shard`]), so cells replayed from a journal,
+/// or in another worker's shard, never pay for graph construction or
+/// oracle advice.
+pub struct InstanceSlot {
+    instance: OnceLock<Arc<Instance>>,
+    build: Box<dyn Fn() -> Arc<Instance> + Send + Sync>,
+}
+
+impl InstanceSlot {
+    /// A slot that runs `build` the first time its instance is asked for.
+    pub fn lazy(build: impl Fn() -> Arc<Instance> + Send + Sync + 'static) -> Arc<Self> {
+        Arc::new(InstanceSlot {
+            instance: OnceLock::new(),
+            build: Box::new(build),
+        })
+    }
+
+    /// A slot that already holds `instance`.
+    pub fn ready(instance: Arc<Instance>) -> Arc<Self> {
+        let built = OnceLock::from(Arc::clone(&instance));
+        Arc::new(InstanceSlot {
+            instance: built,
+            build: Box::new(move || Arc::clone(&instance)),
+        })
+    }
+
+    /// The instance, built on the calling thread by the first call.
+    pub fn instance(&self) -> &Arc<Instance> {
+        self.instance.get_or_init(|| (self.build)())
+    }
+
+    /// `true` once the instance exists. Read-only: asking never builds.
+    pub fn is_built(&self) -> bool {
+        self.instance.get().is_some()
+    }
+}
+
 /// One cell of an experiment grid: which instance to run, with which
 /// scheme, under which configuration.
 ///
-/// Requests are cheap to build — the instance is `Arc`-shared and the
-/// protocol is a (usually zero-sized) `Arc`ed factory — so grids with
-/// thousands of cells cost nothing beyond their `SimConfig`s.
+/// Requests are cheap to build — the instance slot is `Arc`-shared and
+/// the protocol is a (usually zero-sized) `Arc`ed factory — so grids
+/// with thousands of cells cost nothing beyond their `SimConfig`s.
 #[derive(Clone)]
 pub struct RunRequest {
-    /// The shared `(graph, advice)` instance.
-    pub instance: Arc<Instance>,
+    /// The shared, build-once `(graph, advice)` instance.
+    slot: Arc<InstanceSlot>,
     /// The scheme to execute. `Send + Sync` because one factory serves
     /// every worker thread.
     pub protocol: Arc<dyn Protocol + Send + Sync>,
@@ -25,27 +68,38 @@ pub struct RunRequest {
 }
 
 impl RunRequest {
-    /// Convenience constructor.
+    /// A request over an already built instance.
     pub fn new(
         instance: Arc<Instance>,
         protocol: Arc<dyn Protocol + Send + Sync>,
         config: SimConfig,
     ) -> Self {
+        RunRequest::in_slot(InstanceSlot::ready(instance), protocol, config)
+    }
+
+    /// A request over a shared slot, built when first asked for.
+    pub fn in_slot(
+        slot: Arc<InstanceSlot>,
+        protocol: Arc<dyn Protocol + Send + Sync>,
+        config: SimConfig,
+    ) -> Self {
         RunRequest {
-            instance,
+            slot,
             protocol,
             config,
         }
     }
 
-    /// A relative cost hint for scheduling: proportional to the
-    /// instance's size (nodes + edges), which dominates both state setup
-    /// and message traffic. Only the *ratio* between cells matters — the
-    /// chunk planner ([`crate::sched::ChunkPlan::from_costs`]) uses hints
-    /// to batch cheap cells together and isolate expensive ones, and a
-    /// wrong hint can only cost throughput, never correctness.
-    pub fn cost_hint(&self) -> u64 {
-        (self.instance.graph.num_nodes() + self.instance.graph.num_edges()) as u64
+    /// The cell's instance, built on the calling thread if no cell
+    /// sharing its slot has asked before.
+    pub fn instance(&self) -> &Arc<Instance> {
+        self.slot.instance()
+    }
+
+    /// `true` once the cell's instance exists (see
+    /// [`InstanceSlot::is_built`]).
+    pub fn is_built(&self) -> bool {
+        self.slot.is_built()
     }
 }
 
@@ -107,7 +161,7 @@ fn cell_outcome(inst: &Instance, outcome: RunOutcome) -> CellOutcome {
 /// request through [`oraclesize_sim::run_streamed`] with a sink of your
 /// own.
 pub fn run_cell_report(cell: usize, request: &RunRequest) -> RunReport {
-    let inst = &request.instance;
+    let inst = request.instance();
     RunReport {
         cell,
         result: run(inst, request.protocol.as_ref(), &request.config)

@@ -18,9 +18,10 @@
 //!   footers,
 //! * [`batch`] — [`RunRequest`] → [`RunReport`]: the cell description and
 //!   the comparable, fully deterministic result record
-//!   ([`run_cell_report`] runs one cell on the calling thread). Cells are
-//!   built over [`oraclesize_sim::Instance`], the `Arc`-shared immutable
-//!   `(graph, advice)` pair,
+//!   ([`run_cell_report`] runs one cell on the calling thread). Cells
+//!   share an [`InstanceSlot`]: the immutable `(graph, advice)`
+//!   [`oraclesize_sim::Instance`], built once, when the first cell that
+//!   runs needs it,
 //! * [`aggregate`] — [`Aggregate`]: totals folded over reports **in cell
 //!   order**, never completion order, so any thread count produces
 //!   byte-identical output,
@@ -98,7 +99,7 @@ pub mod supervise;
 pub mod trace;
 
 pub use aggregate::Aggregate;
-pub use batch::{run_cell_report, CellOutcome, RunReport, RunRequest};
+pub use batch::{run_cell_report, CellOutcome, InstanceSlot, RunReport, RunRequest};
 pub use chaos::ChaosPlan;
 pub use journal::Journal;
 pub use json::Json;

@@ -108,14 +108,16 @@ impl ChunkPlan {
     /// meets the target is scheduled alone. Zero hints count as cost 1.
     pub fn from_costs(costs: &[u64], workers: usize) -> ChunkPlan {
         let jobs = costs.len();
-        let total: u64 = costs.iter().map(|&c| c.max(1)).sum();
+        // Saturating: a spec may size a cell past u64 (its build would
+        // fail later), and planning must not overflow on it.
+        let total = costs.iter().fold(0u64, |t, &c| t.saturating_add(c.max(1)));
         let lanes = (workers.max(1) * CHUNKS_PER_WORKER) as u64;
         let target = (total / lanes.max(1)).max(1);
         let mut chunks = Vec::new();
         let mut start = 0usize;
         let mut acc = 0u64;
         for (i, &c) in costs.iter().enumerate() {
-            acc += c.max(1);
+            acc = acc.saturating_add(c.max(1));
             if acc >= target {
                 chunks.push(Chunk {
                     start,

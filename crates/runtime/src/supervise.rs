@@ -42,7 +42,7 @@
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 use crate::batch::{run_cell_report, RunReport, RunRequest};
 use crate::chaos::{ChaosPlan, Injection};
@@ -245,15 +245,10 @@ fn attempt_cell(
         }
         Injection::Panic | Injection::None => {}
     }
-    let mut config = request.config.clone();
+    let mut request = request.clone();
     if let Some(timeout) = sup.cell_timeout {
-        config.max_steps = config.max_steps.min(timeout);
+        request.config.max_steps = request.config.max_steps.min(timeout);
     }
-    let request = RunRequest {
-        instance: Arc::clone(&request.instance),
-        protocol: Arc::clone(&request.protocol),
-        config,
-    };
     let inject_panic = matches!(chaos.injection(cell, attempt), Injection::Panic);
     let caught = catch_unwind(AssertUnwindSafe(|| {
         if inject_panic {
@@ -369,7 +364,9 @@ impl OrderedCommitter {
 /// and resuming through the journal when one is configured.
 ///
 /// Cells already present in the journal (matching seed, valid digest)
-/// return [`CellStatus::Resumed`] without executing; everything else runs
+/// return [`CellStatus::Resumed`] without executing or building their
+/// instance; everything else has its instance built up front (serially,
+/// in cell order, on the calling thread) and then runs
 /// through [`run_cell_supervised`] and — when it completes or degrades —
 /// is appended to the journal. Aborted cells are *not* journaled: their
 /// failure may be transient, so a resume re-runs them.
@@ -444,6 +441,17 @@ pub fn run_supervised_shard(
                 "journal {}: {e}; running without checkpoints",
                 path.display()
             )),
+        }
+    }
+    // Build the instances of exactly the cells that will execute — not
+    // the journaled ones, not those past a chaos kill point — serially,
+    // in cell order, on this thread, before any cell runs. Building
+    // inside the pool instead would let one large instance's build
+    // overlap another cell's run on a second thread and raise peak
+    // memory. Cells sharing a slot build it once.
+    for (local, request) in requests.iter().enumerate() {
+        if done[local].is_none() && !opts.chaos.dies_before(base + local) {
+            request.instance();
         }
     }
     let committer = Mutex::new(OrderedCommitter::with_base(journal, base));

@@ -21,7 +21,7 @@ use proptest::prelude::*;
 fn render_cell(cell: usize, request: &RunRequest) -> String {
     let mut sink = JsonlSink::new(cell as u64);
     let _ = run_streamed(
-        &request.instance,
+        request.instance(),
         request.protocol.as_ref(),
         &request.config,
         &mut sink,

@@ -5,14 +5,15 @@
 //! # Shard lifecycle
 //!
 //! A submitted spec is validated ([`SweepSpec::from_json`] +
-//! [`CellGrid::from_spec`]), cut into contiguous shards with
-//! [`ChunkPlan::from_costs`] (the same cost hints the local scheduler
-//! chunks by), and queued. Workers pull shards with `Want`, run them, and
-//! return per-cell results; a shard whose connection drops before its
-//! `Result` arrives is requeued at the front of the queue, so a killed
-//! worker delays a sweep but never loses it. Results merge by sweep-wide
-//! cell index through the runtime's [`OrderedCommitter`] — completion
-//! order never touches the artifact, which is rendered by the same
+//! [`CellGrid::from_spec`], which builds no instance), cut into
+//! contiguous shards with [`ChunkPlan::from_costs`] (the same cost hints
+//! the local scheduler chunks by), and queued. Workers pull shards with
+//! `Want`, run them, and return per-cell results; a shard whose
+//! connection drops before its `Result` arrives is requeued at the front
+//! of the queue, so a killed worker delays a sweep but never loses it.
+//! Results merge by sweep-wide cell index through the runtime's
+//! [`OrderedCommitter`] — completion order never touches the artifact,
+//! which is rendered by the same
 //! [`crate::render_artifact`] path a local run uses.
 //!
 //! # Failure / resume model
@@ -113,9 +114,10 @@ impl State {
                 cells: total as u64,
             };
         }
-        // Materialize the grid once: full validation plus the per-cell
-        // cost hints that size the shards. The requests themselves stay
-        // with the workers.
+        // Lower the spec for full validation and the per-cell cost hints
+        // that size the shards. No instance is built here (only a random
+        // family's graph, for its exact edge count); the workers build
+        // the instances of the shards they run.
         let grid = match CellGrid::from_spec(&spec) {
             Ok(g) => g,
             Err(text) => return Message::Error { text },

@@ -4,7 +4,9 @@
 //! A shard runs via [`run_supervised_shard`] with the sweep-wide cell
 //! base, so reports, journal records, and seeds all use global cell
 //! indices — the same execution path a local sweep takes, which is what
-//! makes the server's merged artifact byte-identical to a local run.
+//! makes the server's merged artifact byte-identical to a local run. The
+//! worker lowers a job's spec once, keeps only the job it is serving,
+//! and builds just the instances of the shard cells it runs.
 //!
 //! With a journal directory configured, each shard checkpoints to its
 //! own segment file (`job-<digest>-shard-<lo>-<hi>.journal`), always
@@ -14,7 +16,6 @@
 //! them. Workers that share a journal directory therefore hand work off
 //! across deaths without coordination beyond the server's requeue.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -73,7 +74,10 @@ pub enum WorkerOutcome {
 /// done, rejects a request, or sends a spec this build cannot lower.
 pub fn run_worker(config: &WorkerConfig) -> Result<WorkerOutcome, String> {
     let pool = Pool::new(config.threads.max(1));
-    let mut cache: BTreeMap<u64, (SweepSpec, CellGrid)> = BTreeMap::new();
+    // The job being served, lowered once: a shard of another job
+    // replaces it, so a long-lived worker holds one job's instances —
+    // and of those, only the ones its own shards built.
+    let mut current: Option<(u64, SweepSpec, CellGrid)> = None;
     let mut shards_done = 0u64;
     let mut cells_done = 0u64;
     let mut claimed = 0u64;
@@ -120,15 +124,18 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerOutcome, String> {
                     spec,
                 } => {
                     let (lo, hi, total) = (lo as usize, hi as usize, total as usize);
-                    if let std::collections::btree_map::Entry::Vacant(slot) = cache.entry(job) {
-                        let parsed = SweepSpec::from_json(&spec)
-                            .map_err(|e| format!("server sent a bad spec: {e}"))?;
-                        let grid = CellGrid::from_spec(&parsed)
-                            .map_err(|e| format!("cannot lower job {job:016x}: {e}"))?;
-                        slot.insert((parsed, grid));
-                    }
-                    let Some((parsed, grid)) = cache.get(&job) else {
-                        continue;
+                    let (_, parsed, grid) = match current {
+                        Some(ref held) if held.0 == job => held,
+                        _ => {
+                            // Drop the old job's instances before lowering
+                            // the new one.
+                            current = None;
+                            let parsed = SweepSpec::from_json(&spec)
+                                .map_err(|e| format!("server sent a bad spec: {e}"))?;
+                            let grid = CellGrid::from_spec(&parsed)
+                                .map_err(|e| format!("cannot lower job {job:016x}: {e}"))?;
+                            current.insert((job, parsed, grid))
+                        }
                     };
                     if hi > grid.len() || lo > hi || total != grid.len() {
                         return Err(format!(

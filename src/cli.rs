@@ -16,7 +16,7 @@
 //! ```
 //!
 //! `sweep` lowers its flags into the runtime's canonical [`SweepSpec`],
-//! materializes the grid with [`CellGrid::from_spec`], and dispatches it
+//! lowers it to a grid with [`CellGrid::from_spec`], and dispatches it
 //! to the `oraclesize-runtime` pool — `--threads N` changes wall-clock
 //! time only, never the report.
 //!
@@ -30,7 +30,6 @@
 //! service — the merged artifact is byte-identical to a local run.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use oraclesize_bench::grid::CellGrid;
 use oraclesize_bench::harness::Args;
@@ -904,7 +903,7 @@ pub fn sweep_spec(args: &SweepArgs) -> Result<SweepSpec, String> {
     Ok(spec)
 }
 
-/// Lowers the flags into a [`SweepSpec`], materializes the grid with
+/// Lowers the flags into a [`SweepSpec`], then into a grid with
 /// [`CellGrid::from_spec`], dispatches it across the pool under
 /// supervision, and folds the reports in cell order — the output is
 /// identical at any `--threads` value, and (with `--journal`) across
@@ -912,8 +911,6 @@ pub fn sweep_spec(args: &SweepArgs) -> Result<SweepSpec, String> {
 fn run_sweep(args: &SweepArgs) -> Result<(String, bool), String> {
     let spec = sweep_spec(args)?;
     let grid = CellGrid::from_spec(&spec)?;
-    let g = Arc::clone(&grid.requests()[0].instance.graph);
-
     let sweep_opts = SweepOptions {
         supervise: SuperviseConfig {
             max_retries: args.max_retries,
@@ -947,7 +944,11 @@ fn run_sweep(args: &SweepArgs) -> Result<(String, bool), String> {
 
     let cells = agg.cells;
     let mut out = String::new();
-    graph_line(&mut out, args.common.family, &g);
+    graph_line(
+        &mut out,
+        args.common.family,
+        &grid.requests()[0].instance().graph,
+    );
     let _ = writeln!(
         out,
         "sweep:        {} cells, {} thread(s), drop = {:.2}",
@@ -995,7 +996,7 @@ fn run_sweep(args: &SweepArgs) -> Result<(String, bool), String> {
     Ok((out, healthy || args.allow_degraded))
 }
 /// Lowers the flags into a one-cell [`SweepSpec`] (cell seed `--seed`),
-/// materializes it with [`CellGrid::from_spec`] like `sweep`, and streams
+/// lowers it with [`CellGrid::from_spec`] like `sweep`, and streams
 /// the cell's fully-traced run through a JSONL sink — events are rendered
 /// as they are emitted, never accumulated, and the bytes are identical on
 /// every machine for the same arguments.
@@ -1005,7 +1006,7 @@ fn run_trace(args: &TraceArgs) -> Result<String, String> {
     let request = &grid.requests()[0];
     let mut sink = JsonlSink::new(0);
     let outcome = run_streamed(
-        &request.instance,
+        request.instance(),
         request.protocol.as_ref(),
         &request.config,
         &mut sink,
@@ -1019,7 +1020,7 @@ fn run_trace(args: &TraceArgs) -> Result<String, String> {
     write_output(path, jsonl.as_bytes())?;
     let mut out = String::new();
     let _ = writeln!(out, "wrote:        {path} ({events} events)");
-    graph_line(&mut out, args.common.family, &request.instance.graph);
+    graph_line(&mut out, args.common.family, &request.instance().graph);
     let _ = writeln!(out, "messages:     {}", outcome.metrics.messages);
     let _ = writeln!(out, "rounds:       {}", outcome.metrics.rounds);
     let _ = writeln!(out, "result:       {}", informed(outcome.all_informed()));
@@ -1044,6 +1045,7 @@ fn run_trace_diff(args: &TraceDiffArgs) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
