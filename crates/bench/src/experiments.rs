@@ -15,7 +15,7 @@ use oraclesize_core::execute;
 use oraclesize_core::oracle::EmptyOracle;
 use oraclesize_core::wakeup::{SpanningTreeOracle, TreeWakeup};
 use oraclesize_graph::families::{self, Family};
-use oraclesize_graph::gadgets;
+use oraclesize_graph::gadgets::{self, subdivided_clique_size};
 use oraclesize_graph::spanning::TreeAlgorithm;
 use oraclesize_lowerbound::adversary::{all_ordered_instances, play, ExplicitAdversary};
 use oraclesize_lowerbound::counting::{
@@ -32,7 +32,7 @@ use oraclesize_sim::{advice_size, Oracle, SchedulerKind, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::grid::{emit_json, subdivided_clique_size, CellGrid, ExpOptions};
+use crate::grid::{emit_json, CellGrid, ExpOptions};
 use crate::harness::{size_sweep, Report, MASTER_SEED, SWEEP_FAMILIES};
 
 /// Experiment ids in canonical order.

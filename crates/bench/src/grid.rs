@@ -15,7 +15,8 @@ use oraclesize_core::oracle::EmptyOracle;
 use oraclesize_core::robust::{RetryBroadcast, RobustTreeWakeup, RobustWakeupOracle};
 use oraclesize_core::wakeup::{SpanningTreeOracle, TreeWakeup};
 use oraclesize_graph::families::{self, Family};
-use oraclesize_graph::{gadgets, PortGraph};
+use oraclesize_graph::gadgets::{self, subdivided_clique_size};
+use oraclesize_graph::PortGraph;
 use oraclesize_runtime::spec::{artifact_json, from_ppm, grid_json, to_u32};
 use oraclesize_runtime::{
     run_supervised_batch, ChaosPlan, InstanceSlot, Json, Pool, RunReport, RunRequest, SchedStats,
@@ -304,22 +305,9 @@ impl Recipe {
         match self {
             Recipe::Family(fam) => fam.build(n, &mut rng),
             Recipe::RandomConnected(p) => families::random_connected(n, p, &mut rng),
-            Recipe::SubdividedClique => {
-                let base = families::complete_rotational(n);
-                let edges: Vec<_> = base.edges().collect();
-                gadgets::subdivide_edges(&base, &edges)
-            }
+            Recipe::SubdividedClique => gadgets::subdivided_clique(n),
         }
     }
-}
-
-/// `(nodes, edges)` of the fully subdivided clique `K*_b`: the `b`
-/// original nodes plus one subdivision node per edge of `K_b`, and two
-/// edges per subdivided edge. Saturates rather than wraps for a `b` no
-/// machine could build, as [`Family::size`] does.
-pub(crate) fn subdivided_clique_size(b: usize) -> (usize, usize) {
-    let edges = b.saturating_mul(b - 1);
-    (b.saturating_add(edges / 2), edges)
 }
 
 /// One spec graph, shared by every instance with its construction

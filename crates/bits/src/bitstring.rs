@@ -118,6 +118,10 @@ impl BitString {
     /// Appends the `width` low-order bits of `value`, least significant
     /// first.
     ///
+    /// Writes up to a byte per step: each step fills the rest of the last
+    /// partial byte (or one fresh byte), so the result is the same bit
+    /// sequence, byte for byte, as `width` single-bit [`push`](Self::push)es.
+    ///
     /// # Panics
     ///
     /// Panics if `width > 64`, or if `value` does not fit in `width` bits
@@ -130,8 +134,23 @@ impl BitString {
                 "value {value} does not fit in {width} bits"
             );
         }
-        for i in 0..width {
-            self.push((value >> i) & 1 == 1);
+        let mut rest = value;
+        let mut left = width;
+        while left > 0 {
+            let off = (self.len % 8) as u32;
+            if off == 0 {
+                // lint:allow(A001): amortised byte growth while *staging* a payload;
+                // on the delivery path only faulted-copy rebuilds come through here
+                self.bytes.push(0);
+            }
+            let take = (8 - off).min(left);
+            let last = self.bytes.len() - 1;
+            // `rest < 2^left` since the value fits, and the bits the shift
+            // pushes out of the byte are the next step's.
+            self.bytes[last] |= (rest as u8) << off;
+            rest >>= take;
+            self.len += take as usize;
+            left -= take;
         }
     }
 
@@ -165,6 +184,12 @@ impl BitString {
     /// Creates a decoding cursor positioned at the first bit.
     pub fn reader(&self) -> BitReader<'_> {
         BitReader::new(self)
+    }
+
+    /// Byte `i` of the packed representation (bit `8i + j` at position
+    /// `j`); bits past [`len`](Self::len) are zero.
+    pub(crate) fn byte(&self, i: usize) -> u8 {
+        self.bytes[i]
     }
 
     /// Total heap bytes used by the packed representation (diagnostics only;

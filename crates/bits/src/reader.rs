@@ -67,11 +67,17 @@ impl<'a> BitReader<'a> {
         if self.remaining() < width as usize {
             return None;
         }
+        // Up to a byte per step: the rest of the current byte, then whole
+        // bytes, then the head of the last one.
         let mut v = 0u64;
-        for i in 0..width {
-            if self.s.get(self.pos + i as usize).expect("length checked") {
-                v |= 1 << i;
-            }
+        let mut got = 0u32;
+        while got < width {
+            let at = self.pos + got as usize;
+            let off = (at % 8) as u32;
+            let take = (8 - off).min(width - got);
+            let chunk = u64::from(self.s.byte(at / 8) >> off) & ((1 << take) - 1);
+            v |= chunk << got;
+            got += take;
         }
         self.pos += width as usize;
         Some(v)

@@ -8,7 +8,7 @@ use oraclesize_bits::lists::{
     decode_port_list, decode_weight_list, encode_port_list, encode_weight_list, port_list_len,
     weight_list_len,
 };
-use oraclesize_bits::{bits_to_represent, BitString};
+use oraclesize_bits::{bits_to_represent, BitReader, BitString};
 use proptest::prelude::*;
 
 proptest! {
@@ -101,6 +101,77 @@ proptest! {
         let _ = decode_doubled_header(&mut s.reader());
         for codec in AnyCodec::ALL {
             let _ = codec.decode(&mut s.reader());
+        }
+    }
+}
+
+/// Bit-by-bit reference for `BitString::push_uint`: LSB first, one bit per
+/// step.
+fn push_uint_reference(s: &mut BitString, value: u64, width: u32) {
+    for i in 0..width {
+        s.push((value >> i) & 1 == 1);
+    }
+}
+
+/// Bit-by-bit reference for `BitReader::read_uint`: `None` consuming
+/// nothing on a short read.
+fn read_uint_reference(r: &mut BitReader<'_>, width: u32) -> Option<u64> {
+    if r.remaining() < width as usize {
+        return None;
+    }
+    let mut v = 0u64;
+    for i in 0..width {
+        if r.read_bit()? {
+            v |= 1 << i;
+        }
+    }
+    Some(v)
+}
+
+proptest! {
+    /// The byte-wise codec writes the same bytes and length, and reads the
+    /// same values, as one bit per step — at every starting offset within a
+    /// byte and every width, with bits appended after, and on short reads.
+    #[test]
+    fn bytewise_uint_codec_matches_bit_by_bit_reference(
+        value in any::<u64>(),
+        head in any::<u8>(),
+        tail in any::<u8>(),
+    ) {
+        for off in 0..8u32 {
+            let head = u64::from(head) & ((1 << off) - 1);
+            for width in 0..=64u32 {
+                let v = if width == 64 { value } else { value & ((1 << width) - 1) };
+                let mut fast = BitString::new();
+                let mut slow = BitString::new();
+                push_uint_reference(&mut fast, head, off);
+                push_uint_reference(&mut slow, head, off);
+                fast.push_uint(v, width);
+                push_uint_reference(&mut slow, v, width);
+                prop_assert_eq!(&fast, &slow, "off {} width {}", off, width);
+
+                // Reads at the same offset agree, then a short read past the
+                // end returns None and consumes nothing.
+                let (mut rf, mut rs) = (fast.reader(), slow.reader());
+                prop_assert_eq!(rf.read_uint(off), read_uint_reference(&mut rs, off));
+                if width < 64 {
+                    prop_assert_eq!(rf.clone().read_uint(width + 1), None);
+                    prop_assert_eq!(read_uint_reference(&mut rs.clone(), width + 1), None);
+                }
+                prop_assert_eq!(rf.read_uint(width), Some(v));
+                prop_assert_eq!(read_uint_reference(&mut rs, width), Some(v));
+                prop_assert_eq!(rf.position(), (off + width) as usize);
+
+                // Bits appended after the value land where single bits would.
+                fast.push_uint(u64::from(tail & 0x1f), 5);
+                push_uint_reference(&mut slow, u64::from(tail & 0x1f), 5);
+                prop_assert_eq!(&fast, &slow, "tail after off {} width {}", off, width);
+                let mut rf = fast.reader();
+                prop_assert_eq!(rf.read_uint(off), Some(head));
+                prop_assert_eq!(rf.read_uint(width), Some(v));
+                prop_assert_eq!(rf.read_uint(6), None);
+                prop_assert_eq!(rf.read_uint(5), Some(u64::from(tail & 0x1f)));
+            }
         }
     }
 }

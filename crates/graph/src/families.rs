@@ -65,18 +65,23 @@ pub fn star(n: usize) -> PortGraph {
 /// Panics if `n < 2`.
 pub fn complete_rotational(n: usize) -> PortGraph {
     assert!(n >= 2, "complete graph needs at least two nodes");
-    let mut adj = Vec::with_capacity(n);
+    let d = n - 1;
+    // Written straight into CSR: every node has degree n − 1, and the port
+    // map is a closed form, so no nested adjacency is built.
+    let offsets = (0..=n).map(|v| v * d).collect();
+    let mut targets = Vec::with_capacity(n * d);
+    let mut back_ports = Vec::with_capacity(n * d);
     for i in 0..n {
-        let mut ports = Vec::with_capacity(n - 1);
-        for p in 0..n - 1 {
-            let j = (i + p + 1) % n;
-            // Arrival port q at j satisfies (j + q + 1) mod n == i.
-            let q = (i + n - j - 1) % n;
-            ports.push((j, q));
+        for p in 0..d {
+            let j = i + p + 1;
+            targets.push(if j < n { j } else { j - n });
+            // Arrival port q at j satisfies (j + q + 1) mod n == i, so
+            // q = (i − j − 1) mod n = n − 2 − p.
+            back_ports.push(d - 1 - p);
         }
-        adj.push(ports);
     }
-    PortGraph::from_adjacency(adj).expect("rotational labeling is symmetric")
+    PortGraph::from_csr(offsets, targets, back_ports, (0..n as u64).collect())
+        .expect("rotational labeling is symmetric")
 }
 
 /// A `w × h` grid (4-neighbor mesh).
@@ -498,6 +503,24 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn complete_rotational_csr_equals_the_adjacency_construction() {
+        for n in 2..=64usize {
+            let adj = (0..n)
+                .map(|i| {
+                    (0..n - 1)
+                        .map(|p| {
+                            let j = (i + p + 1) % n;
+                            (j, (i + n - j - 1) % n)
+                        })
+                        .collect()
+                })
+                .collect();
+            let reference = PortGraph::from_adjacency(adj).unwrap();
+            assert_eq!(complete_rotational(n), reference, "n={n}");
         }
     }
 

@@ -11,12 +11,16 @@
 //!   numbers.
 //!
 //! Both constructions take any base [`PortGraph`]; the paper instantiates
-//! them on [`crate::families::complete_rotational`].
+//! them on [`crate::families::complete_rotational`]. The densest `G_{n,S}`,
+//! with every edge of `K*_b` subdivided, also has a closed form,
+//! [`subdivided_clique`], which writes the same graph in one pass without
+//! building the base.
 
+use oraclesize_bits::BitSet;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::portgraph::{EdgeRef, NodeId, PortGraph};
+use crate::portgraph::{EdgeRef, NodeId, Port, PortGraph};
 
 /// Inserts a degree-2 node in the middle of each edge in `subdivided`
 /// (the construction `G_{n,S}`, Theorem 2.2).
@@ -26,6 +30,11 @@ use crate::portgraph::{EdgeRef, NodeId, PortGraph};
 /// `u` and port `1` toward `v`; the ports at `u` and `v` are untouched. The
 /// order of `subdivided` is significant: the paper's edge-discovery label of
 /// a hidden node is its rank in `S`.
+///
+/// With every edge of `K*_b` subdivided in [`PortGraph::edges`] order,
+/// `subdivide_edges(&complete_rotational(b), &edges)` is `==` to
+/// [`subdivided_clique(b)`](subdivided_clique), which builds it in closed
+/// form.
 ///
 /// # Panics
 ///
@@ -49,7 +58,9 @@ pub fn subdivide_edges(g: &PortGraph, subdivided: &[EdgeRef]) -> PortGraph {
     let mut labels: Vec<u64> = (0..n).map(|v| g.label(v)).collect();
     let max_label = labels.iter().copied().max().unwrap_or(0);
 
-    let mut seen = std::collections::BTreeSet::new();
+    // One bit per half-edge `offsets[u] + port_u`: a present edge has one
+    // canonical half-edge, so a set bit means a repeat.
+    let mut seen = BitSet::new(g.num_edges() * 2);
     for (i, e) in subdivided.iter().enumerate() {
         // Canonical-orientation port lookup instead of a neighbor scan:
         // O(1) per edge where `edge_between` is O(deg).
@@ -57,7 +68,9 @@ pub fn subdivide_edges(g: &PortGraph, subdivided: &[EdgeRef]) -> PortGraph {
             && e.port_u < g.degree(e.u)
             && g.neighbor_via(e.u, e.port_u) == (e.v, e.port_v);
         assert!(present, "edge {e:?} not present in base graph");
-        assert!(seen.insert((e.u, e.v)), "edge {e:?} subdivided twice");
+        let half = offsets[e.u] + e.port_u;
+        assert!(!seen.get(half), "edge {e:?} subdivided twice");
+        seen.set(half, true);
         let w = n + i;
         // Orient by label as the paper does.
         let (a, pa, b, pb) = if g.label(e.u) < g.label(e.v) {
@@ -78,6 +91,70 @@ pub fn subdivide_edges(g: &PortGraph, subdivided: &[EdgeRef]) -> PortGraph {
     }
     PortGraph::from_csr(offsets, targets, back_ports, labels)
         .expect("subdivision preserves invariants")
+}
+
+/// `(nodes, edges)` of [`subdivided_clique(b)`](subdivided_clique): the
+/// `b` original nodes plus one hidden node per edge of `K_b`, and two
+/// edges per subdivided edge. Saturates rather than wraps for a `b` no
+/// machine could build.
+pub fn subdivided_clique_size(b: usize) -> (usize, usize) {
+    let edges = b.saturating_mul(b.saturating_sub(1));
+    (b.saturating_add(edges / 2), edges)
+}
+
+/// `G_{n,S}` with `S` every edge of `K*_b` (Theorem 2.2), in closed form:
+/// the same graph, `==`, as
+/// `subdivide_edges(&complete_rotational(b), &base.edges().collect())`,
+/// written straight into CSR with no base graph, edge list or nested
+/// adjacency.
+///
+/// * Original node `i`'s port `p` leads to `j = (i + p + 1) mod b`, through
+///   the hidden node of `{i, j}`, arriving at its port `0` if `i < j` and
+///   `1` otherwise.
+/// * The hidden node of `{u, v}` (`u < v`) is node `b + idx(u, v)`, where
+///   `idx` is the pair's rank in [`PortGraph::edges`] order (lexicographic
+///   in `(u, v)`), so its label — `b + idx`, its rank in `S` — matches the
+///   general construction. Its ports `[u, v]` arrive at `u`'s port
+///   `v − u − 1` and `v`'s port `u + b − v − 1`.
+///
+/// # Panics
+///
+/// Panics if `b < 2`.
+pub fn subdivided_clique(b: usize) -> PortGraph {
+    assert!(b >= 2, "complete graph needs at least two nodes");
+    let (nodes, edges) = subdivided_clique_size(b);
+    let d = b - 1;
+    // `first[u]` = idx(u, u + 1): the rank of u's first edge to a larger node.
+    let first: Vec<usize> = (0..b)
+        .map(|u| u * d - u * u.saturating_sub(1) / 2)
+        .collect();
+    let mut offsets = Vec::with_capacity(nodes + 1);
+    offsets.extend((0..=b).map(|v| v * d));
+    offsets.extend((1..=nodes - b).map(|k| b * d + 2 * k));
+    let mut targets: Vec<NodeId> = Vec::with_capacity(2 * edges);
+    let mut back_ports: Vec<Port> = Vec::with_capacity(2 * edges);
+    for i in 0..b {
+        for p in 0..d {
+            let j = i + p + 1;
+            let j = if j < b { j } else { j - b };
+            let (rank, arrival) = if i < j {
+                (first[i] + j - i - 1, 0)
+            } else {
+                (first[j] + i - j - 1, 1)
+            };
+            targets.push(b + rank);
+            back_ports.push(arrival);
+        }
+    }
+    for u in 0..b {
+        for v in u + 1..b {
+            targets.extend([u, v]);
+            back_ports.extend([v - u - 1, u + b - v - 1]);
+        }
+    }
+    let labels = (0..nodes as u64).collect();
+    PortGraph::from_csr(offsets, targets, back_ports, labels)
+        .expect("closed-form subdivision preserves invariants")
 }
 
 /// Chooses `m` distinct edges of `g` uniformly at random — a random `S` for

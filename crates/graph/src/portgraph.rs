@@ -424,6 +424,11 @@ impl PortGraph {
                 }
             }
         }
+        // Increasing labels (every built-in family's `0..n`) are distinct;
+        // only others pay for the sorted copy.
+        if self.labels.windows(2).all(|w| w[0] < w[1]) {
+            return Ok(());
+        }
         let mut labels: Vec<u64> = self.labels.clone();
         labels.sort_unstable();
         for w in labels.windows(2) {

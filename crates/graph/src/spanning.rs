@@ -178,23 +178,48 @@ impl RootedTree {
                 }
             }
         }
-        // Acyclicity + reachability: walk up from every node with a step cap.
-        for v in 0..n {
-            let mut cur = v;
-            let mut steps = 0;
-            while let Some((p, _, _)) = self.parent[cur] {
-                cur = p;
-                steps += 1;
-                if steps > n {
-                    return Err(format!("cycle reached from node {v}"));
-                }
+        reaches_root(n, self.root, |v| self.parent[v].map(|(p, _, _)| p))
+    }
+}
+
+/// Acyclicity and reachability of a parent map over nodes `0..n`: `Ok`
+/// when every node's parent chain ends at `root`, else the defect of the
+/// first node, in id order, whose chain does not — `cycle reached from
+/// node v` or `node v does not reach the root`.
+///
+/// Linear in `n`: a walk stops at the first node an earlier walk proved to
+/// reach the root, and a successful walk marks its own path the same way,
+/// so each node is stepped through at most twice.
+fn reaches_root(
+    n: usize,
+    root: NodeId,
+    parent: impl Fn(NodeId) -> Option<NodeId>,
+) -> Result<(), String> {
+    const UNKNOWN: u8 = 0;
+    const ON_PATH: u8 = 1;
+    const REACHES: u8 = 2;
+    let mut state = vec![UNKNOWN; n];
+    for v in 0..n {
+        let mut cur = v;
+        while state[cur] != REACHES {
+            if state[cur] == ON_PATH {
+                return Err(format!("cycle reached from node {v}"));
             }
-            if cur != self.root {
-                return Err(format!("node {v} does not reach the root"));
+            state[cur] = ON_PATH;
+            match parent(cur) {
+                Some(p) => cur = p,
+                None if cur == root => break,
+                None => return Err(format!("node {v} does not reach the root")),
             }
         }
-        Ok(())
+        // The walk from v succeeded: everything on it reaches the root.
+        let mut cur = Some(v);
+        while let Some(c) = cur.filter(|&c| state[c] == ON_PATH) {
+            state[c] = REACHES;
+            cur = parent(c);
+        }
     }
+    Ok(())
 }
 
 /// Breadth-first spanning tree rooted at `root`.
@@ -541,6 +566,99 @@ mod tests {
             RootedTree::from_parents(&g, 0, &[None, Some(0), Some(0), Some(2)])
         });
         assert!(result.is_err());
+    }
+
+    /// Reference semantics for `reaches_root`: from every node, follow
+    /// parents with a step cap (quadratic on deep trees).
+    fn reaches_root_by_walking(
+        n: usize,
+        root: NodeId,
+        parents: &[Option<NodeId>],
+    ) -> Result<(), String> {
+        for v in 0..n {
+            let mut cur = v;
+            let mut steps = 0;
+            while let Some(p) = parents[cur] {
+                cur = p;
+                steps += 1;
+                if steps > n {
+                    return Err(format!("cycle reached from node {v}"));
+                }
+            }
+            if cur != root {
+                return Err(format!("node {v} does not reach the root"));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn reaches_root_reports_the_first_defect() {
+        // (root, parent map, first defect or "" for a tree)
+        let table: [(NodeId, &[Option<NodeId>], &str); 8] = [
+            (0, &[None, Some(0), Some(1), Some(2)], ""),
+            (2, &[Some(1), Some(2), None], ""),
+            (0, &[None, Some(1)], "cycle reached from node 1"),
+            (
+                0,
+                &[None, Some(2), Some(3), Some(1)],
+                "cycle reached from node 1",
+            ),
+            (
+                0,
+                &[None, Some(0), Some(3), Some(2)],
+                "cycle reached from node 2",
+            ),
+            (
+                3,
+                &[Some(1), Some(0), Some(3), None],
+                "cycle reached from node 0",
+            ),
+            (0, &[None, Some(2), None], "node 1 does not reach the root"),
+            (
+                1,
+                &[Some(1), None, Some(0), Some(3)],
+                "cycle reached from node 3",
+            ),
+        ];
+        for (root, parents, want) in table {
+            let got = reaches_root(parents.len(), root, |v| parents[v]);
+            assert_eq!(
+                got.clone().err().unwrap_or_default(),
+                want,
+                "{parents:?} rooted at {root}"
+            );
+            assert_eq!(got, reaches_root_by_walking(parents.len(), root, parents));
+        }
+    }
+
+    #[test]
+    fn reaches_root_agrees_with_the_quadratic_walk() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(25);
+        for _ in 0..4000 {
+            let n = rng.gen_range(1..12);
+            let root = rng.gen_range(0..n);
+            let parents: Vec<Option<NodeId>> = (0..n)
+                .map(|_| rng.gen_bool(0.8).then(|| rng.gen_range(0..n)))
+                .collect();
+            assert_eq!(
+                reaches_root(n, root, |v| parents[v]),
+                reaches_root_by_walking(n, root, &parents),
+                "{parents:?} rooted at {root}"
+            );
+        }
+    }
+
+    #[test]
+    fn deep_trees_validate_in_linear_time() {
+        // A path rooted at one end is a 200k-deep tree, where a walk to
+        // the root from every node would take O(n²) steps.
+        let g = families::path(200_000);
+        for t in [bfs_tree(&g, 0), dfs_tree(&g, 0)] {
+            t.validate(&g).unwrap();
+            assert_eq!(t.depth(199_999), 199_999);
+        }
     }
 
     #[test]

@@ -332,3 +332,24 @@ proptest! {
         }
     }
 }
+
+/// `G_{n,S}` with every edge of `K*_b` subdivided, the general way.
+fn subdivided_clique_reference(b: usize) -> PortGraph {
+    let base = families::complete_rotational(b);
+    let edges: Vec<_> = base.edges().collect();
+    gadgets::subdivide_edges(&base, &edges)
+}
+
+/// Every b in 2..=48, the whole range a proptest would sample, plus one
+/// larger clique.
+#[test]
+fn subdivided_clique_closed_form_equals_subdivide_edges() {
+    for b in (2..=48).chain([200]) {
+        let g = gadgets::subdivided_clique(b);
+        assert_eq!(g, subdivided_clique_reference(b), "b={b}");
+        assert_eq!(
+            (g.num_nodes(), g.num_edges()),
+            gadgets::subdivided_clique_size(b)
+        );
+    }
+}
